@@ -1,45 +1,52 @@
 /// \file bench_ablation_signature.cpp
-/// Ablation A9: signature-accelerated + batched megaflow classification
-/// against the scalar linear-compare baseline, swept over flow count
-/// (which drives entries per subtable) × mask diversity — now as a
-/// five-step ladder that separates every acceleration the megaflow tier
-/// stacks on top of the linear scan:
+/// Ablation A9: the megaflow tier's hash-indexed subtables, scalar
+/// lookup() against the batched lookup_batch(), swept over flow count
+/// (which drives entries per subtable) × mask diversity, plus a
+/// wall-clock check that a subtable probe costs the same at any size.
 ///
-///   * linear     — no signature array: every candidate entry of a probed
-///                  subtable pays a full masked compare;
-///   * sig-scalar — 16-bit signature array scanned with the portable
-///                  scalar loop (`sig_scan_mode = kScalar`), full
-///                  compares only on fingerprint matches;
-///   * sig-simd   — the same array scanned with real SIMD blocks
-///                  (SSE2/NEON via hw::simd, one 16-lane compare per
-///                  block) — the scalar-vs-SIMD gap is pure scan cost;
-///   * simd+pf    — plus the per-subtable counting-Bloom prefilter:
-///                  probes skip whole subtables that provably cannot
-///                  hold the masked key (`subtables_skipped`);
-///   * sig+batch  — plus lookup_batch (32-packet batches): one pass per
-///                  subtable over the whole batch, rank dispatch and
-///                  EWMA accounting amortized — the full pipeline.
+///   * scalar — one lookup() per packet: every subtable probe pays the
+///              full per-probe base (mask, hash, rank dispatch);
+///   * batch  — lookup_batch() over 32-packet batches: one pass per
+///              subtable over the whole batch, rank dispatch and EWMA
+///              accounting amortized.
+///
+/// Each row reports cost-model cycles per lookup (modelled) beside host
+/// nanoseconds per lookup (wall-clock, steady_clock around the measured
+/// loop). The flat-cost section then drives one MegaflowCache subtable
+/// directly at 1k and 64k entries in random order and prints the
+/// buckets walked and the ns per lookup at both sizes: with the hash
+/// index a probe is one bucket walk whatever the subtable holds, which
+/// is what lets the EMC-thrashing regime scale with flow count.
+///
+/// The retired 16-bit signature-array scan (linear / sig-scalar /
+/// sig-simd / simd+pf / sig+batch) left its last numbers in
+/// docs/BENCHMARKS.md; on the flat-cost check it read 71 ns at 1k and
+/// 2977 ns at 64k entries (42x) on the host that set the tolerance.
 ///
 /// Methodology: the classifier is driven directly (no chain topology);
-/// the EMC is disabled so the megaflow tier is isolated; cost is virtual
-/// cycles from exec::CostModel, identical to what the forwarding engine
-/// charges per packet. `--smoke` runs a reduced sweep (CI: exercise the
-/// path, don't measure it); in every run the binary exits non-zero if
-/// (a) sig+batch fails to reach >= 1.5x the linear throughput, or
-/// (b) the SIMD scan fails to reach >= 1.5x the scalar signature scan
-/// (skipped with a note when this binary has no SIMD backend compiled
-/// in, e.g. -DHW_FORCE_SCALAR=ON), on the >= 8 masks × >= 4k flows
-/// configurations.
+/// the EMC is disabled so the megaflow tier is isolated; modelled cost
+/// is virtual cycles from exec::CostModel, identical to what the
+/// forwarding engine charges per packet. `--smoke` runs a reduced sweep;
+/// in every run the binary exits non-zero if, on the >= 8 masks × >= 4k
+/// flows configurations the megaflow tier serves (hit rate >= 90%),
+///   (a) batch fails to reach >= 1.5x the scalar modelled throughput, or
+///   (b) batch is slower than scalar in wall-clock beyond
+///       kBatchWallTolerance (a mode the model calls faster must not
+///       lose on the host);
+/// or if (c) the ns per lookup at 64k entries in one subtable exceeds
+/// kFlatTolerance times the ns per lookup at 1k entries.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <vector>
 
 #include "classifier/dp_classifier.h"
+#include "classifier/megaflow.h"
 #include "common/rng.h"
-#include "common/simd.h"
 #include "exec/context.h"
 #include "exec/cost_model.h"
 #include "flowtable/flow_table.h"
@@ -52,32 +59,42 @@ namespace {
 using classifier::DpClassifier;
 using classifier::DpClassifierConfig;
 using classifier::LookupOutcome;
-using classifier::SigScanMode;
+using classifier::MaskSpec;
+using classifier::MegaflowCache;
+using classifier::MegaflowCacheConfig;
+using classifier::ProbeTally;
 using classifier::TierCounters;
 using flowtable::FlowTable;
 using openflow::Action;
 using openflow::FlowMod;
 using openflow::FlowModCommand;
 using openflow::Match;
+using Clock = std::chrono::steady_clock;
 
 constexpr std::uint32_t kRuleCount = 64;
 constexpr std::size_t kBatch = 32;
 constexpr PortId kOutPort = 1;
 
+/// Gate (b): batch may be at most this much slower than scalar in
+/// wall-clock. The measured batch/scalar ns ratio at 4096 flows × 8
+/// masks was 0.91–0.96 on a shared 4-vCPU host; the slack absorbs its
+/// noise.
+constexpr double kBatchWallTolerance = 1.25;
+/// Gate (c): ns per lookup at 64k entries over ns at 1k entries. The
+/// hash index measured 2.2–2.5x (the 64k working set spills out of the
+/// caches; the probe work itself is flat), the retired signature scan
+/// 42x.
+constexpr double kFlatTolerance = 4.0;
+/// Gates (a) and (b) cover rows whose megaflow hit rate reaches this.
+constexpr double kGateMinHitRate = 0.9;
+constexpr std::uint32_t kFlatSmall = 1024;
+constexpr std::uint32_t kFlatLarge = 65536;
+
 std::uint64_t g_lookups = 200'000;
 bool g_smoke = false;
 
-enum Mode : std::int64_t {
-  kLinear = 0,
-  kSigScalar = 1,
-  kSigSimd = 2,
-  kSimdPrefilter = 3,
-  kSigBatch = 4,
-};
-constexpr std::int64_t kModeCount = 5;
-constexpr const char* kModeNames[kModeCount] = {"linear", "sig-scalar",
-                                                "sig-simd", "simd+pf",
-                                                "sig+batch"};
+enum Mode : std::int64_t { kScalar = 0, kBatchMode = 1 };
+constexpr std::int64_t kModeCount = 2;
 
 /// One distinct match shape per mask-diversity step (salted so rules
 /// within a shape stay distinct) — same population as ablation A7.
@@ -154,11 +171,10 @@ std::vector<pkt::FlowKey> make_flows(std::uint32_t count, Rng& rng) {
 struct Row {
   std::uint32_t flows = 0;
   std::uint32_t masks = 0;
-  double cyc[kModeCount] = {0, 0, 0, 0, 0};  ///< cycles/lookup per Mode
-  double mf_hit_rate = 0;                    ///< sig+batch mode
-  std::uint64_t sig_fp = 0;
-  std::uint64_t skipped = 0;     ///< subtables skipped (simd+pf mode)
-  std::uint64_t simd_blocks = 0; ///< SIMD blocks scanned (sig-simd mode)
+  double cyc[kModeCount] = {0, 0};  ///< modelled cycles/lookup per Mode
+  double ns[kModeCount] = {0, 0};   ///< wall-clock ns/lookup per Mode
+  double mf_hit_rate = 0;           ///< batch mode
+  std::uint64_t sig_fp = 0;         ///< batch mode: hash matches refuted
   std::size_t subtables = 0;
   std::size_t entries = 0;
 };
@@ -172,18 +188,7 @@ Row& row_for(std::uint32_t flows, std::uint32_t masks) {
   return g_rows.back();
 }
 
-DpClassifierConfig mode_config(std::int64_t mode) {
-  DpClassifierConfig config;
-  config.emc_enabled = false;  // isolate the megaflow tier
-  config.megaflow.signature_prefilter = mode != kLinear;
-  config.megaflow.sig_scan_mode =
-      mode == kSigScalar ? SigScanMode::kScalar : SigScanMode::kAuto;
-  config.megaflow.subtable_prefilter =
-      mode == kSimdPrefilter || mode == kSigBatch;
-  return config;
-}
-
-void BM_Signature(benchmark::State& state) {
+void BM_Megaflow(benchmark::State& state) {
   const auto flow_count = static_cast<std::uint32_t>(state.range(0));
   const auto mask_diversity = static_cast<std::uint32_t>(state.range(1));
   const auto mode = state.range(2);
@@ -199,15 +204,15 @@ void BM_Signature(benchmark::State& state) {
     hashes.push_back(pkt::flow_key_hash(key));
   }
 
-  const DpClassifierConfig config = mode_config(mode);
+  DpClassifierConfig config;
+  config.emc_enabled = false;  // isolate the megaflow tier
 
   double cycles_per_lookup = 0;
+  double ns_per_lookup = 0;
   TierCounters tiers;
   std::size_t subtables = 0;
   std::size_t entries = 0;
   std::uint64_t sig_fp = 0;
-  std::uint64_t skipped = 0;
-  std::uint64_t simd_blocks = 0;
   for (auto _ : state) {
     DpClassifier dp(table, cost, config);
     exec::CycleMeter warm;
@@ -217,10 +222,11 @@ void BM_Signature(benchmark::State& state) {
     }
     exec::CycleMeter meter;
     const TierCounters before = dp.counters();
-    if (mode == kSigBatch) {
-      std::vector<LookupOutcome> outcomes(kBatch);
-      std::vector<pkt::FlowKey> keys(kBatch);
-      std::vector<std::uint32_t> key_hashes(kBatch);
+    std::vector<LookupOutcome> outcomes(kBatch);
+    std::vector<pkt::FlowKey> keys(kBatch);
+    std::vector<std::uint32_t> key_hashes(kBatch);
+    const Clock::time_point start = Clock::now();
+    if (mode == kBatchMode) {
       for (std::uint64_t i = 0; i < g_lookups; i += kBatch) {
         for (std::size_t j = 0; j < kBatch; ++j) {
           const std::size_t f =
@@ -237,29 +243,24 @@ void BM_Signature(benchmark::State& state) {
         benchmark::DoNotOptimize(dp.lookup(flows[f], hashes[f], meter));
       }
     }
+    const double wall_ns =
+        std::chrono::duration<double, std::nano>(Clock::now() - start)
+            .count();
+    ns_per_lookup = wall_ns / static_cast<double>(g_lookups);
     cycles_per_lookup = static_cast<double>(meter.total_used()) /
                         static_cast<double>(g_lookups);
     tiers = dp.counters();
     tiers.megaflow_hits -= before.megaflow_hits;
-    tiers.slow_path_lookups -= before.slow_path_lookups;
     sig_fp = tiers.sig_false_positives - before.sig_false_positives;
-    skipped = tiers.subtables_skipped - before.subtables_skipped;
-    simd_blocks = tiers.simd_blocks - before.simd_blocks;
     subtables = dp.megaflow().subtable_count();
     entries = dp.megaflow().entry_count();
-    state.SetIterationTime(static_cast<double>(meter.total_used()) *
-                           cost.ns_per_cycle() / 1e9);
+    state.SetIterationTime(wall_ns / 1e9);
   }
 
   state.counters["cyc_per_pkt"] = cycles_per_lookup;
-  state.counters["Mpps_equiv"] =
-      cycles_per_lookup > 0
-          ? static_cast<double>(cost.hz) / cycles_per_lookup / 1e6
-          : 0;
+  state.counters["ns_per_pkt"] = ns_per_lookup;
   state.counters["mf_hits"] = static_cast<double>(tiers.megaflow_hits);
   state.counters["sig_fp"] = static_cast<double>(sig_fp);
-  state.counters["subt_skipped"] = static_cast<double>(skipped);
-  state.counters["simd_blocks"] = static_cast<double>(simd_blocks);
   state.counters["subtables"] = static_cast<double>(subtables);
   state.counters["entries_per_subtable"] =
       subtables > 0 ? static_cast<double>(entries) /
@@ -268,15 +269,68 @@ void BM_Signature(benchmark::State& state) {
 
   Row& row = row_for(flow_count, mask_diversity);
   row.cyc[mode] = cycles_per_lookup;
-  if (mode == kSigSimd) row.simd_blocks = simd_blocks;
-  if (mode == kSimdPrefilter) row.skipped = skipped;
-  if (mode == kSigBatch) {
+  row.ns[mode] = ns_per_lookup;
+  if (mode == kBatchMode) {
     row.mf_hit_rate = static_cast<double>(tiers.megaflow_hits) /
                       static_cast<double>(g_lookups);
     row.sig_fp = sig_fp;
     row.subtables = subtables;
     row.entries = entries;
   }
+}
+
+/// Probe cost of one subtable holding `entries` keys, in random order.
+struct FlatPoint {
+  double ns_per_lookup = 0;      ///< best of three timed passes
+  double buckets_per_lookup = 0; ///< index buckets walked per lookup
+};
+
+FlatPoint measure_flat(std::uint32_t entries, std::uint64_t lookups) {
+  MegaflowCacheConfig config;
+  config.max_entries = 2 * kFlatLarge;
+  config.auto_size = false;  // keep every entry resident
+  MegaflowCache cache(config);
+  const MaskSpec mask{.fields = openflow::kMatchInPort |
+                                openflow::kMatchIpDst | openflow::kMatchL4Dst,
+                      .ip_dst_plen = 32};
+  std::vector<pkt::FlowKey> keys;
+  keys.reserve(entries);
+  for (std::uint32_t i = 0; i < entries; ++i) {
+    pkt::FlowKey key;
+    key.in_port = 1;
+    key.ether_type = pkt::kEtherTypeIpv4;
+    key.ip_proto = pkt::kIpProtoUdp;
+    key.src_ip = 0xc0a80000u + i;
+    key.dst_ip = 0x0a000000u + i;
+    key.src_port = 1234;
+    key.dst_port = 80;
+    keys.push_back(key);
+    cache.insert(key, mask, 1 + i % kRuleCount, 1);
+  }
+  Rng rng(0xf1a7u ^ entries);
+  std::vector<std::uint32_t> order(lookups);
+  for (std::uint32_t& index : order) {
+    index = static_cast<std::uint32_t>(rng.next_below(entries));
+  }
+  FlatPoint point;
+  point.ns_per_lookup = -1;
+  for (int pass = 0; pass < 3; ++pass) {
+    ProbeTally tally;
+    const Clock::time_point start = Clock::now();
+    for (const std::uint32_t index : order) {
+      benchmark::DoNotOptimize(cache.lookup(keys[index], 1, tally));
+    }
+    const double ns =
+        std::chrono::duration<double, std::nano>(Clock::now() - start)
+            .count() /
+        static_cast<double>(lookups);
+    if (point.ns_per_lookup < 0 || ns < point.ns_per_lookup) {
+      point.ns_per_lookup = ns;
+    }
+    point.buckets_per_lookup =
+        static_cast<double>(tally.buckets) / static_cast<double>(lookups);
+  }
+  return point;
 }
 
 }  // namespace
@@ -303,7 +357,7 @@ int main(int argc, char** argv) {
   const std::vector<std::int64_t> mask_counts =
       g_smoke ? std::vector<std::int64_t>{8}
               : std::vector<std::int64_t>{1, 4, 8};
-  auto* bench = benchmark::RegisterBenchmark("BM_Signature", BM_Signature);
+  auto* bench = benchmark::RegisterBenchmark("BM_Megaflow", BM_Megaflow);
   bench->ArgNames({"flows", "masks", "mode"});
   for (const std::int64_t flows : flow_counts) {
     for (const std::int64_t masks : mask_counts) {
@@ -319,75 +373,85 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
 
   std::printf(
-      "\n=== A9: signature scan ladder (%s backend), cycles/packet "
-      "(%llu lookups, %u rules, EMC off) ===\n",
-      hw::simd::kBackendName, static_cast<unsigned long long>(g_lookups),
-      kRuleCount + 1);
-  std::printf(
-      "%-7s %-5s %-10s %-10s %-10s %-10s %-10s | %-9s %-9s %-9s | %-8s "
-      "%-9s\n",
-      "flows", "masks", kModeNames[0], kModeNames[1], kModeNames[2],
-      kModeNames[3], kModeNames[4], "simd_gain", "pf_gain", "full_gain",
-      "mf_hit%", "skips");
-  double worst_full_gain = -1;
-  double worst_simd_gain = -1;
+      "\n=== A9: hash-indexed megaflow, scalar vs batch (%llu lookups, "
+      "%u rules, EMC off) ===\n",
+      static_cast<unsigned long long>(g_lookups), kRuleCount + 1);
+  std::printf("%-7s %-5s | %-10s %-10s %-7s | %-10s %-10s %-7s | %-8s %-7s\n",
+              "flows", "masks", "scalar_cyc", "batch_cyc", "gain",
+              "scalar_ns", "batch_ns", "gain", "mf_hit%", "sig_fp");
+  double worst_model_gain = -1;
+  double worst_wall_ratio = -1;  ///< batch ns / scalar ns (lower is better)
   for (const auto& row : g_rows) {
-    const double simd_gain = row.cyc[kSigSimd] > 0
-                                 ? row.cyc[kSigScalar] / row.cyc[kSigSimd]
-                                 : 0;
-    const double pf_gain = row.cyc[kSimdPrefilter] > 0
-                               ? row.cyc[kSigSimd] / row.cyc[kSimdPrefilter]
-                               : 0;
-    const double full_gain =
-        row.cyc[kSigBatch] > 0 ? row.cyc[kLinear] / row.cyc[kSigBatch] : 0;
+    const double model_gain =
+        row.cyc[kBatchMode] > 0 ? row.cyc[kScalar] / row.cyc[kBatchMode] : 0;
+    const double wall_gain =
+        row.ns[kBatchMode] > 0 ? row.ns[kScalar] / row.ns[kBatchMode] : 0;
     std::printf(
-        "%-7u %-5u %-10.1f %-10.1f %-10.1f %-10.1f %-10.1f | %-9.2f %-9.2f "
-        "%-9.2f | %-8.1f %-9llu\n",
-        row.flows, row.masks, row.cyc[kLinear], row.cyc[kSigScalar],
-        row.cyc[kSigSimd], row.cyc[kSimdPrefilter], row.cyc[kSigBatch],
-        simd_gain, pf_gain, full_gain, 100.0 * row.mf_hit_rate,
-        static_cast<unsigned long long>(row.skipped));
-    // Acceptance scope: the EMC-thrashing, mask-diverse configurations.
-    if (row.masks >= 8 && row.flows >= 4096) {
-      if (worst_full_gain < 0 || full_gain < worst_full_gain) {
-        worst_full_gain = full_gain;
-      }
-      if (worst_simd_gain < 0 || simd_gain < worst_simd_gain) {
-        worst_simd_gain = simd_gain;
-      }
+        "%-7u %-5u | %-10.1f %-10.1f %-7.2f | %-10.1f %-10.1f %-7.2f | "
+        "%-8.1f %-7llu\n",
+        row.flows, row.masks, row.cyc[kScalar], row.cyc[kBatchMode],
+        model_gain, row.ns[kScalar], row.ns[kBatchMode], wall_gain,
+        100.0 * row.mf_hit_rate, static_cast<unsigned long long>(row.sig_fp));
+    // Acceptance scope: the EMC-thrashing, mask-diverse configurations
+    // the megaflow tier actually serves. A row whose working set outruns
+    // the auto-sized cache is slow-path bound in both modes and says
+    // nothing about the probe; it is printed, not gated.
+    if (row.masks >= 8 && row.flows >= 4096 &&
+        row.mf_hit_rate >= kGateMinHitRate) {
+      worst_model_gain = worst_model_gain < 0
+                             ? model_gain
+                             : std::min(worst_model_gain, model_gain);
+      const double wall_ratio =
+          row.ns[kScalar] > 0 ? row.ns[kBatchMode] / row.ns[kScalar] : 0;
+      worst_wall_ratio = std::max(worst_wall_ratio, wall_ratio);
     }
   }
+
+  const std::uint64_t flat_lookups = g_smoke ? 100'000 : 400'000;
+  const FlatPoint small = measure_flat(kFlatSmall, flat_lookups);
+  const FlatPoint large = measure_flat(kFlatLarge, flat_lookups);
+  const double flat_ratio = small.ns_per_lookup > 0
+                                ? large.ns_per_lookup / small.ns_per_lookup
+                                : 0;
   std::printf(
-      "\nEach column adds one acceleration: linear pays a full masked\n"
-      "compare per candidate entry; sig-scalar touches one contiguous\n"
-      "16-bit array instead (portable loop); sig-simd scans the same\n"
-      "array one 16-lane block compare at a time; simd+pf consults the\n"
-      "subtable Bloom first and skips subtables that provably lack the\n"
-      "key; sig+batch amortizes per-subtable dispatch across 32-packet\n"
-      "batches. The gaps widen with entries/subtable — exactly the\n"
-      "EMC-thrashing regime the delay models blame.\n");
+      "\n=== flat probe cost: one subtable, random-order lookups ===\n"
+      "%-8s %-10s %-10s\n"
+      "%-8u %-10.2f %-10.1f\n"
+      "%-8u %-10.2f %-10.1f\n",
+      "entries", "buckets", "ns/lookup", kFlatSmall,
+      small.buckets_per_lookup, small.ns_per_lookup, kFlatLarge,
+      large.buckets_per_lookup, large.ns_per_lookup);
+  std::printf(
+      "\nscalar pays the full per-subtable probe base per packet; batch\n"
+      "amortizes dispatch across 32-packet batches. Either way a subtable\n"
+      "probe is one hash-index bucket walk, so the flat-cost rows differ\n"
+      "only by what the larger working set costs the host's caches.\n");
+
   bool ok = true;
-  if (worst_full_gain >= 0) {
-    const bool pass = worst_full_gain >= 1.5;
+  if (worst_model_gain >= 0) {
+    const bool pass = worst_model_gain >= 1.5;
     std::printf(
-        "acceptance: sig+batch >= 1.5x linear on >=8 masks x >=4k flows: "
-        "%.2fx -> %s\n",
-        worst_full_gain, pass ? "PASS" : "FAIL");
+        "acceptance: batch >= 1.5x scalar (modelled) on >=8 masks x >=4k "
+        "flows: %.2fx -> %s\n",
+        worst_model_gain, pass ? "PASS" : "FAIL");
     ok = ok && pass;
   }
-  if (worst_simd_gain >= 0) {
-    if (hw::simd::kSimdCompiledIn) {
-      const bool pass = worst_simd_gain >= 1.5;
-      std::printf(
-          "acceptance: SIMD scan >= 1.5x scalar signature scan on >=8 masks "
-          "x >=4k flows: %.2fx -> %s\n",
-          worst_simd_gain, pass ? "PASS" : "FAIL");
-      ok = ok && pass;
-    } else {
-      std::printf(
-          "acceptance: SIMD-vs-scalar gate SKIPPED (no SIMD backend "
-          "compiled in; sig-simd ran the portable loop)\n");
-    }
+  if (worst_wall_ratio >= 0) {
+    const bool pass = worst_wall_ratio <= kBatchWallTolerance;
+    std::printf(
+        "acceptance: batch ns <= %.2fx scalar ns (wall-clock) on >=8 masks "
+        "x >=4k flows: %.2fx -> %s\n",
+        kBatchWallTolerance, worst_wall_ratio, pass ? "PASS" : "FAIL");
+    ok = ok && pass;
+  }
+  {
+    const bool pass = flat_ratio > 0 && flat_ratio <= kFlatTolerance;
+    std::printf(
+        "acceptance: ns/lookup at %u entries <= %.1fx the cost at %u "
+        "(wall-clock): %.1f ns vs %.1f ns = %.2fx -> %s\n",
+        kFlatLarge, kFlatTolerance, kFlatSmall, large.ns_per_lookup,
+        small.ns_per_lookup, flat_ratio, pass ? "PASS" : "FAIL");
+    ok = ok && pass;
   }
   return ok ? 0 : 1;
 }

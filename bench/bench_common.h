@@ -171,7 +171,7 @@ inline void export_counters(benchmark::State& state,
       static_cast<double>(metrics.megaflow_invalidations);
   state.counters["mf_revalidations"] =
       static_cast<double>(metrics.megaflow_revalidations);
-  // Signature prefilter + batch pipeline telemetry.
+  // Hash-index + batch pipeline telemetry.
   state.counters["sig_hits"] = static_cast<double>(metrics.sig_hits);
   state.counters["sig_fp"] =
       static_cast<double>(metrics.sig_false_positives);
@@ -186,8 +186,7 @@ inline void export_counters(benchmark::State& state,
       static_cast<double>(metrics.reval_coalesced_events);
   state.counters["cache_resizes"] =
       static_cast<double>(metrics.cache_resizes);
-  // SIMD-scan + subtable-prefilter telemetry (see docs/COUNTERS.md).
-  state.counters["simd_blocks"] = static_cast<double>(metrics.simd_blocks);
+  // Revalidator subtable-prefilter telemetry (see docs/COUNTERS.md).
   state.counters["subt_skipped"] =
       static_cast<double>(metrics.subtables_skipped);
   state.counters["prefilter_fp"] =

@@ -64,7 +64,6 @@ Status ChainScenario::build() {
                             .batch_classify = config_.batch_classify,
                             .revalidate_budget = config_.revalidate_budget,
                             .megaflow_auto_size = config_.megaflow_auto_size,
-                            .sig_scan_mode = config_.sig_scan_mode,
                             .subtable_prefilter = config_.subtable_prefilter,
                             .engine_count = config_.engine_count,
                             .rss = config_.rss,
@@ -466,7 +465,6 @@ ChainMetrics ChainScenario::measure(TimeNs duration_ns) {
   metrics.reval_coalesced_events =
       tiers.reval_coalesced_events - snap_tiers_.reval_coalesced_events;
   metrics.cache_resizes = tiers.cache_resizes - snap_tiers_.cache_resizes;
-  metrics.simd_blocks = tiers.simd_blocks - snap_tiers_.simd_blocks;
   metrics.subtables_skipped =
       tiers.subtables_skipped - snap_tiers_.subtables_skipped;
   metrics.prefilter_false_positives =

@@ -53,9 +53,7 @@ struct ChainConfig {
   /// drain eagerly, nonzero defers revalidation to batch boundaries.
   std::uint32_t revalidate_budget = 0;
   bool megaflow_auto_size = true;  ///< working-set-driven megaflow sizing
-  /// Signature-scan strategy (SIMD blocks vs portable scalar loop).
-  classifier::SigScanMode sig_scan_mode = classifier::SigScanMode::kAuto;
-  bool subtable_prefilter = true;  ///< per-subtable Bloom skip filter
+  bool subtable_prefilter = true;  ///< revalidator's per-subtable Bloom skip
 
   std::uint32_t frame_len = 64;
   std::uint32_t flow_count = 8;
@@ -103,7 +101,7 @@ struct ChainMetrics {
   std::uint64_t megaflow_inserts = 0;
   std::uint64_t megaflow_invalidations = 0;
   std::uint64_t megaflow_revalidations = 0;
-  // Signature prefilter + batch pipeline telemetry.
+  // Hash-index + batch pipeline telemetry.
   std::uint64_t sig_hits = 0;
   std::uint64_t sig_false_positives = 0;
   std::uint64_t batches = 0;
@@ -113,10 +111,9 @@ struct ChainMetrics {
   std::uint64_t reval_entries_scanned = 0;  ///< entries examined by scans
   std::uint64_t reval_coalesced_events = 0; ///< events folded into shared scans
   std::uint64_t cache_resizes = 0;          ///< megaflow capacity retargets
-  // SIMD-scan + subtable-prefilter telemetry (see docs/COUNTERS.md).
-  std::uint64_t simd_blocks = 0;            ///< 16-signature SIMD blocks scanned
+  // Revalidator subtable-prefilter telemetry (see docs/COUNTERS.md).
   std::uint64_t subtables_skipped = 0;      ///< whole-subtable prefilter skips
-  std::uint64_t prefilter_false_positives = 0; ///< Bloom passed, scan empty
+  std::uint64_t prefilter_false_positives = 0; ///< Bloom passed, no suspect
   // RSS scale-out telemetry (see docs/SCALEOUT.md): zeros unless rss is
   // enabled on a multi-engine pool.
   std::uint64_t rss_distributed = 0;   ///< frames hashed + steered by homes

@@ -151,7 +151,6 @@ void DpClassifier::charge_reval_work(exec::CycleMeter& meter) {
       stats.reval_entries_scanned + emc_accum_.scanned;
   counters_.reval_coalesced_events = stats.reval_coalesced_events;
   counters_.cache_resizes = stats.cache_resizes;
-  counters_.simd_blocks = stats.simd_blocks;
   counters_.subtables_skipped = stats.subtables_skipped;
   counters_.prefilter_false_positives = stats.prefilter_false_positives;
 }
@@ -160,15 +159,12 @@ Cycles DpClassifier::tally_cycles(const ProbeTally& tally,
                                   bool batched) const noexcept {
   // Per-probe base: scalar pays mask + hash + dispatch per subtable per
   // packet; the batch loop amortizes mask load, rank dispatch and EWMA
-  // accounting across the batch. Signature-block scans and full masked
+  // accounting across the batch. Index bucket walks and full masked
   // compares are charged identically on both paths.
   const std::uint32_t per_probe = batched ? cost_->megaflow_batch_packet
                                           : cost_->megaflow_per_subtable;
   return static_cast<Cycles>(tally.probes) * per_probe +
-         static_cast<Cycles>(tally.sig_blocks) * cost_->megaflow_sig_block +
-         static_cast<Cycles>(tally.sig_scalar) * cost_->megaflow_sig_scalar +
-         static_cast<Cycles>(tally.prefilter_checks) *
-             cost_->megaflow_prefilter_check +
+         static_cast<Cycles>(tally.buckets) * cost_->megaflow_bucket_probe +
          static_cast<Cycles>(tally.full_compares) *
              cost_->megaflow_full_compare +
          // Pending-event guard tests paid while a drain was deferred
@@ -180,9 +176,6 @@ void DpClassifier::mirror_sig_stats() noexcept {
   const MegaflowStats& stats = megaflow_.stats();
   counters_.sig_hits = stats.sig_hits;
   counters_.sig_false_positives = stats.sig_false_positives;
-  counters_.simd_blocks = stats.simd_blocks;
-  counters_.subtables_skipped = stats.subtables_skipped;
-  counters_.prefilter_false_positives = stats.prefilter_false_positives;
 }
 
 LookupOutcome DpClassifier::slow_path(const pkt::FlowKey& key,
@@ -241,7 +234,7 @@ LookupOutcome DpClassifier::probe_caches(const pkt::FlowKey& key,
     }
   }
 
-  // Tier 2: megaflow tuple-space search (signature-prefiltered probes).
+  // Tier 2: megaflow tuple-space search (one hash-index walk per subtable).
   if (config_.megaflow_enabled) {
     ProbeTally tally;
     const RuleId id = megaflow_.lookup(key, version, tally);

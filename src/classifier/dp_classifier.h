@@ -20,14 +20,10 @@ class Runtime;
 /// forwarding engine (like one EMC + dpcls pair per PMD thread):
 ///
 ///   1. exact-match cache   — O(1) direct-mapped, full-key compare;
-///   2. megaflow cache      — tuple-space search over masked keys, with a
-///                            per-subtable 16-bit signature array scanned
-///                            ahead of any full masked compare (real SIMD
-///                            blocks via hw::simd, `sig_scan_mode` picks
-///                            the scalar loop for ablation) and a
-///                            counting-Bloom subtable prefilter that
-///                            skips subtables which provably cannot hold
-///                            the masked key;
+///   2. megaflow cache      — tuple-space search over masked keys: one
+///                            hash-index bucket walk per subtable probed,
+///                            a full masked compare only on a stored-hash
+///                            match;
 ///   3. slow path           — priority-ordered wildcard table scan, which
 ///                            *installs* a megaflow covering every field
 ///                            it examined (the upcall's unwildcard set)
@@ -89,9 +85,9 @@ struct TierCounters {
   std::uint64_t emc_revalidations = 0;       ///< EMC slots repaired/evicted
   std::uint64_t slow_path_lookups = 0;
   std::uint64_t slow_path_misses = 0;  ///< no rule matched at all
-  // Signature prefilter + batch pipeline telemetry.
-  std::uint64_t sig_hits = 0;             ///< signature matches confirmed
-  std::uint64_t sig_false_positives = 0;  ///< signature matched, compare failed
+  // Hash-index + batch pipeline telemetry.
+  std::uint64_t sig_hits = 0;             ///< stored-hash matches confirmed
+  std::uint64_t sig_false_positives = 0;  ///< stored-hash match, compare failed
   std::uint64_t batches = 0;              ///< batched classify rounds
   std::uint64_t batch_packets = 0;        ///< packets through the batched path
   // Coalescing-revalidator telemetry (see docs/COUNTERS.md).
@@ -99,10 +95,9 @@ struct TierCounters {
   std::uint64_t reval_entries_scanned = 0;  ///< entries examined (both tiers)
   std::uint64_t reval_coalesced_events = 0; ///< events folded into shared scans
   std::uint64_t cache_resizes = 0;          ///< megaflow capacity retargets
-  // SIMD-scan + subtable-prefilter telemetry (see docs/COUNTERS.md).
-  std::uint64_t simd_blocks = 0;            ///< 16-signature SIMD blocks scanned
+  // Revalidator subtable-prefilter telemetry (see docs/COUNTERS.md).
   std::uint64_t subtables_skipped = 0;      ///< whole-subtable prefilter skips
-  std::uint64_t prefilter_false_positives = 0; ///< Bloom passed, scan found nothing
+  std::uint64_t prefilter_false_positives = 0; ///< Bloom passed, no suspect found
 
   TierCounters& operator+=(const TierCounters& other) noexcept {
     emc_hits += other.emc_hits;
@@ -124,7 +119,6 @@ struct TierCounters {
     reval_entries_scanned += other.reval_entries_scanned;
     reval_coalesced_events += other.reval_coalesced_events;
     cache_resizes += other.cache_resizes;
-    simd_blocks += other.simd_blocks;
     subtables_skipped += other.subtables_skipped;
     prefilter_false_positives += other.prefilter_false_positives;
     return *this;
@@ -207,7 +201,7 @@ class DpClassifier {
   /// revalidator counters into counters_.
   void charge_reval_work(exec::CycleMeter& meter);
   /// Converts a megaflow probe tally into cycles (scalar or batched
-  /// per-subtable base; signature-scan and compare charges are shared).
+  /// per-subtable base; bucket and compare charges are shared).
   [[nodiscard]] Cycles tally_cycles(const ProbeTally& tally,
                                     bool batched) const noexcept;
   /// One EMC probe: charge, lookup, hit/miss counting. The single
@@ -229,7 +223,7 @@ class DpClassifier {
                                         std::uint32_t hash,
                                         std::uint64_t version,
                                         exec::CycleMeter& meter);
-  /// Mirrors cache-internal signature tallies into counters_.
+  /// Mirrors cache-internal hash-match tallies into counters_.
   void mirror_sig_stats() noexcept;
 
   /// Epoch base for span timestamps; 0 when tracing is unconfigured.

@@ -28,10 +28,6 @@ namespace {
   return p;
 }
 
-[[nodiscard]] constexpr std::size_t block_ceil(std::size_t n) noexcept {
-  return (n + simd::kLanesU16 - 1) & ~(simd::kLanesU16 - 1);
-}
-
 /// Invokes `fn(field_bit, value)` for every *exact-valued* field the mask
 /// constrains (IPv4 prefixes are excluded: their per-entry values are not
 /// set-membership-testable under differing prefix lengths). These are the
@@ -82,74 +78,84 @@ constexpr std::uint32_t kExactFields =
 }  // namespace
 
 std::size_t MegaflowCache::Subtable::find(const pkt::FlowKey& masked,
-                                          std::uint16_t sig, ScanKind kind,
+                                          std::uint32_t hash,
                                           ProbeTally& tally) const {
-  const std::size_t n = slots.size();
-  if (kind == ScanKind::kLinear) {
-    // Linear baseline: one full masked compare per candidate entry.
-    for (std::size_t i = 0; i < n; ++i) {
-      ++tally.full_compares;
-      if (slots[i].key == masked) return i;
-    }
-    return kNpos;
+  // Linear probing from the home bucket: the walk ends at the first empty
+  // bucket (the index is never full). Only a stored-hash match pays the
+  // full masked compare.
+  const std::size_t mask_bits = index.size() - 1;
+  for (std::size_t b = hash & mask_bits;; b = (b + 1) & mask_bits) {
+    ++tally.buckets;
+    const Bucket& bucket = index[b];
+    if (bucket.slot == Bucket::kEmpty) return kNpos;
+    if (bucket.hash != hash) continue;
+    ++tally.full_compares;
+    if (slots[bucket.slot].key == masked) return bucket.slot;
   }
-  if (kind == ScanKind::kSigScalar) {
-    // Portable signature scan: one scalar compare per signature; full
-    // compares fire only on fingerprint matches. Compares are charged up
-    // to the match.
-    const std::uint16_t* s = sigs.data();
-    std::size_t found = kNpos;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (s[i] != sig) continue;
-      ++tally.full_compares;
-      if (slots[i].key == masked) {
-        found = i;
-        break;
-      }
-    }
-    tally.sig_scalar +=
-        static_cast<std::uint32_t>(found == kNpos ? n : found + 1);
-    return found;
-  }
-  // SIMD signature scan: one 16-lane vector compare per block (the array
-  // is padded to a block multiple; tail lanes are masked off inside
-  // match_mask_u16), then one full compare per surviving lane. Blocks
-  // are charged up to the match.
-  for (std::size_t base = 0; base < n; base += simd::kLanesU16) {
-    ++tally.sig_blocks;
-    std::uint32_t lanes = simd::match_mask_u16(
-        sigs.data() + base, std::min(simd::kLanesU16, n - base), sig);
-    while (lanes != 0) {
-      const std::size_t index = base + std::countr_zero(lanes);
-      lanes &= lanes - 1;
-      ++tally.full_compares;
-      if (slots[index].key == masked) return index;
-    }
-  }
-  return kNpos;
 }
 
-void MegaflowCache::Subtable::sig_push(std::uint16_t sig) {
-  if (slots.size() > sigs.size()) {
-    sigs.resize(sigs.size() + simd::kLanesU16, 0);
-  }
-  sigs[slots.size() - 1] = sig;
+std::size_t MegaflowCache::Subtable::bucket_of(std::size_t slot_index) const {
+  const std::size_t mask_bits = index.size() - 1;
+  std::size_t b = slots[slot_index].hash & mask_bits;
+  while (index[b].slot != slot_index) b = (b + 1) & mask_bits;
+  return b;
 }
 
-void MegaflowCache::Subtable::erase_at(std::size_t index) {
-  bloom_remove_slot(slots[index]);
+void MegaflowCache::Subtable::resize_index(std::size_t buckets) {
+  index.assign(buckets, Bucket{});
+  const std::size_t mask_bits = buckets - 1;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    std::size_t b = slots[i].hash & mask_bits;
+    while (index[b].slot != Bucket::kEmpty) b = (b + 1) & mask_bits;
+    index[b] = Bucket{slots[i].hash, static_cast<std::uint32_t>(i)};
+  }
+}
+
+void MegaflowCache::Subtable::push(const Slot& slot) {
+  slots.push_back(slot);
+  // Grow past half full to a quarter full, so the next doubling is a
+  // population doubling away and walks stay short.
+  if (slots.size() * 2 > index.size()) {
+    resize_index(pow2_ceil(slots.size() * 4));
+    return;  // the rebuild indexed the new slot
+  }
+  const std::size_t mask_bits = index.size() - 1;
+  std::size_t b = slot.hash & mask_bits;
+  while (index[b].slot != Bucket::kEmpty) b = (b + 1) & mask_bits;
+  index[b] = Bucket{slot.hash, static_cast<std::uint32_t>(slots.size() - 1)};
+}
+
+void MegaflowCache::Subtable::erase_at(std::size_t slot_index) {
+  bloom_remove_slot(slots[slot_index]);
+  // Backward-shift deletion: walk the cluster after the hole and pull
+  // back every bucket whose home lies cyclically at or before the hole,
+  // so no later probe walk is cut short by the emptied bucket.
+  const std::size_t mask_bits = index.size() - 1;
+  std::size_t hole = bucket_of(slot_index);
+  for (std::size_t b = (hole + 1) & mask_bits;
+       index[b].slot != Bucket::kEmpty; b = (b + 1) & mask_bits) {
+    const std::size_t home = index[b].hash & mask_bits;
+    if (((b - home) & mask_bits) >= ((b - hole) & mask_bits)) {
+      index[hole] = index[b];
+      hole = b;
+    }
+  }
+  index[hole] = Bucket{};
+  // Swap-fill the slot from the back; its bucket follows it.
   const std::size_t last = slots.size() - 1;
-  sigs[index] = sigs[last];
-  sigs[last] = 0;  // padding lanes stay zero (masked off anyway)
-  slots[index] = std::move(slots.back());
+  if (slot_index != last) {
+    index[bucket_of(last)].slot = static_cast<std::uint32_t>(slot_index);
+    slots[slot_index] = std::move(slots[last]);
+  }
   slots.pop_back();
-  if (block_ceil(slots.size()) < sigs.size()) {
-    sigs.resize(block_ceil(slots.size()));
+  // Shrink once an eighth full, back to a quarter full: a trimmed
+  // subtable does not keep walking a sparse, cache-cold index.
+  if (index.size() > kMinBuckets && slots.size() * 8 < index.size()) {
+    resize_index(std::max(kMinBuckets, pow2_ceil(slots.size() * 4)));
   }
 }
 
 void MegaflowCache::Subtable::bloom_add_slot(const Slot& slot) {
-  key_bloom.add(fp_signature(flow_signature(slot.key)));
   plan_bloom.add(fp_rule(slot.rule));
   for_each_exact_field(mask, slot.key,
                        [this](std::uint32_t field, std::uint32_t value) {
@@ -158,7 +164,6 @@ void MegaflowCache::Subtable::bloom_add_slot(const Slot& slot) {
 }
 
 void MegaflowCache::Subtable::bloom_remove_slot(const Slot& slot) {
-  key_bloom.remove(fp_signature(flow_signature(slot.key)));
   plan_bloom.remove(fp_rule(slot.rule));
   for_each_exact_field(mask, slot.key,
                        [this](std::uint32_t field, std::uint32_t value) {
@@ -173,15 +178,13 @@ void MegaflowCache::Subtable::bloom_update_rule(RuleId old_rule,
   plan_bloom.add(fp_rule(new_rule));
 }
 
-void MegaflowCache::Subtable::maybe_grow_blooms() {
-  if (slots.size() * 16 <= key_bloom.buckets()) return;
+void MegaflowCache::Subtable::maybe_grow_bloom() {
+  if (slots.size() * 16 <= plan_bloom.buckets()) return;
   // Rebuild at 32 buckets per slot: the next doubling is a population
-  // doubling away, and sig-absent probes keep a ~1-2% pass rate instead
-  // of saturating. Shrink is never needed — emptied subtables are
-  // pruned, and a trimmed population only makes the filter sparser.
-  const std::size_t target = pow2_ceil(slots.size() * 32);
-  key_bloom.reset(target);
-  plan_bloom.reset(target);
+  // doubling away, and the filter keeps refuting instead of saturating.
+  // Shrink is never needed — emptied subtables are pruned, and a trimmed
+  // population only makes the filter sparser.
+  plan_bloom.reset(pow2_ceil(slots.size() * 32));
   for (const Slot& slot : slots) bloom_add_slot(slot);
 }
 
@@ -209,39 +212,17 @@ std::size_t MegaflowCache::probe_subtable(const Subtable& subtable,
                                           const pkt::FlowKey& masked,
                                           ProbeTally& tally) {
   ++tally.probes;
-  // The fingerprint is needed by the signature scan and the Bloom
-  // prefilter; the bare linear baseline must not pay the hash.
-  const bool need_sig = config_.signature_prefilter || config_.subtable_prefilter;
-  const std::uint16_t sig = need_sig ? flow_signature(masked) : 0;
-  if (config_.subtable_prefilter) {
-    // Whole-subtable skip: a masked key whose signature the counting
-    // Bloom provably lacks cannot be stored here — don't touch the
-    // arrays at all.
-    ++tally.prefilter_checks;
-    if (!subtable.key_bloom.may_contain(fp_signature(sig))) {
-      ++stats_.subtables_skipped;
-      return kNpos;
-    }
-  }
-  const std::uint32_t blocks_before = tally.sig_blocks;
   const std::uint32_t compares_before = tally.full_compares;
-  const std::size_t index = subtable.find(masked, sig, scan_kind(), tally);
-  stats_.simd_blocks += tally.sig_blocks - blocks_before;
-  if (config_.signature_prefilter) {
-    // Every fingerprint match that failed its full compare is a false
-    // positive; a confirmed match is a signature hit.
-    const std::uint32_t compares = tally.full_compares - compares_before;
-    if (index != kNpos) {
-      ++stats_.sig_hits;
-      stats_.sig_false_positives += compares - 1;
-    } else {
-      stats_.sig_false_positives += compares;
-    }
-  }
-  if (config_.subtable_prefilter && index == kNpos) {
-    // The Bloom let the scan through but nothing matched — the skip
-    // opportunity a collision (or a same-signature key) wasted.
-    ++stats_.prefilter_false_positives;
+  const std::size_t index =
+      subtable.find(masked, pkt::flow_key_hash(masked), tally);
+  // Every stored-hash match the full compare refuted is a false
+  // positive; the confirmed one is a hit.
+  const std::uint32_t compares = tally.full_compares - compares_before;
+  if (index != kNpos) {
+    ++stats_.sig_hits;
+    stats_.sig_false_positives += compares - 1;
+  } else {
+    stats_.sig_false_positives += compares;
   }
   return index;
 }
@@ -401,10 +382,9 @@ void MegaflowCache::insert(const pkt::FlowKey& key, const MaskSpec& mask,
   (void)maybe_revalidate();
   Subtable& subtable = subtable_for(mask);
   const pkt::FlowKey masked = apply(mask, key);
-  const std::uint16_t sig = flow_signature(masked);
-  ProbeTally scratch;  // dup-scan work is covered by the caller's insert charge
-  const std::size_t existing =
-      subtable.find(masked, sig, scan_kind(), scratch);
+  const std::uint32_t hash = pkt::flow_key_hash(masked);
+  ProbeTally scratch;  // dup-check work is covered by the caller's insert charge
+  const std::size_t existing = subtable.find(masked, hash, scratch);
   if (existing != kNpos) {
     subtable.bloom_update_rule(subtable.slots[existing].rule, rule);
     subtable.slots[existing].rule = rule;
@@ -412,11 +392,14 @@ void MegaflowCache::insert(const pkt::FlowKey& key, const MaskSpec& mask,
     ++stats_.overwrites;
     return;
   }
-  Slot slot{masked, rule, table_version, size_epoch_};
-  subtable.slots.push_back(slot);
-  subtable.sig_push(sig);
-  subtable.bloom_add_slot(subtable.slots.back());
-  subtable.maybe_grow_blooms();
+  const Slot slot{.key = masked,
+                  .rule = rule,
+                  .hash = hash,
+                  .touch_epoch = size_epoch_,
+                  .version = table_version};
+  subtable.push(slot);
+  subtable.bloom_add_slot(slot);
+  subtable.maybe_grow_bloom();
   ++stats_.inserts;
   ++entries_;
   ++window_distinct_;  // a fresh entry is part of the working set
@@ -621,7 +604,7 @@ void MegaflowCache::revalidate_coalesced(
         // resolves to the same new winner. A wider set means the cover
         // set is no longer uniform — evict and let the slow path carve
         // finer megaflows. The repair rewrites rule/version only; the
-        // masked key — and therefore its signature — is untouched.
+        // masked key — and therefore its index bucket — is untouched.
         if (res.found && subsumes(subtable->mask, res.unwildcarded)) {
           subtable->bloom_update_rule(slot.rule, res.rule);
           slot.rule = res.rule;

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "classifier/mask.h"
-#include "common/simd.h"
 #include "common/types.h"
 #include "flowtable/flow_table.h"
 #include "pkt/flow_key.h"
@@ -23,27 +22,24 @@
 /// re-ranked, like OVS's per-PMD subtable sorting) and compare masked
 /// keys.
 ///
-/// Signature acceleration: each subtable keeps a contiguous array of
-/// 16-bit signatures (hash fingerprints of the *masked* keys) parallel to
-/// its entry slots, padded to a 16-lane block multiple. A probe scans the
-/// signature array first — one real SIMD compare per 16-entry block
-/// (SSE2/NEON via hw::simd, with a portable scalar loop as the build-time
-/// fallback and `sig_scan_mode` as the runtime ablation knob) — and runs
-/// the full masked compare only on signature matches, so a probe that
-/// misses touches one contiguous array instead of N candidate entries.
-/// Batched lookups (lookup_batch) probe each subtable for the whole batch
-/// in one pass, amortizing rank dispatch and EWMA accounting, which is
-/// how DPDK's dpcls keeps up with line rate once the EMC thrashes.
+/// Hash index: each subtable keeps an open-addressing (linear-probing)
+/// index keyed by the full 32-bit flow_key_hash of the *masked* key, the
+/// same per-subtable hash table real dpcls keeps. Every bucket carries
+/// the stored hash beside its slot index, so a probe, an insert and an
+/// insert's duplicate check each cost one bucket walk — O(1) expected,
+/// independent of how many entries the subtable holds — and only a
+/// stored-hash match pays the full masked compare. Batched lookups
+/// (lookup_batch) probe each subtable for the whole batch in one pass,
+/// amortizing rank dispatch and EWMA accounting, which is how DPDK's
+/// dpcls keeps up with line rate once the EMC thrashes.
 ///
-/// Subtable prefilter: each subtable additionally maintains a counting
-/// Bloom summary of its contents — masked-key signatures, rule ids, and
-/// exact-field values — so a probe (or the coalesced revalidator's
-/// suspect scan, below) can skip a whole subtable that provably cannot
-/// contain a matching entry (or a suspect) without touching its arrays.
-/// The filter is *counting*, updated on every insert/erase/repair, so it
-/// has no false negatives by construction: a skip is always sound, and
-/// the only cost of a collision is a wasted scan (counted as
-/// `prefilter_false_positives`).
+/// Subtable prefilter: each subtable maintains a counting Bloom summary
+/// of its rule ids and exact-field values, so the coalesced revalidator's
+/// suspect scan (below) can skip a whole subtable that provably holds no
+/// suspect without touching its entries. The filter is *counting*,
+/// updated on every insert/erase/repair, so it has no false negatives by
+/// construction: a skip is always sound, and the only cost of a
+/// collision is a wasted scan (counted as `prefilter_false_positives`).
 ///
 /// Staleness is handled by an OVS-style *revalidator* instead of a
 /// whole-cache flush: FlowTable change notifications arrive as structured
@@ -81,22 +77,14 @@
 
 namespace hw::classifier {
 
-/// How a probe scans a subtable's signature array. kAuto resolves to the
-/// SIMD backend compiled into this binary (simd::kSimdCompiledIn) and to
-/// the portable loop otherwise; kScalar forces the portable loop at
-/// runtime (the ablation baseline); kSimd requests the vector path and
-/// silently degrades to scalar in a -DHW_FORCE_SCALAR (or no-SIMD) build.
-/// All three produce bit-identical results — only the cost differs.
-enum class SigScanMode : std::uint8_t { kAuto = 0, kSimd = 1, kScalar = 2 };
-
 struct MegaflowStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t inserts = 0;            ///< fresh masked keys installed
   std::uint64_t overwrites = 0;         ///< re-install onto an existing key
   std::uint64_t subtables_probed = 0;   ///< total probes across lookups
-  std::uint64_t sig_hits = 0;           ///< signature match confirmed by full compare
-  std::uint64_t sig_false_positives = 0;///< signature matched, full compare failed
+  std::uint64_t sig_hits = 0;           ///< stored-hash match confirmed by full compare
+  std::uint64_t sig_false_positives = 0;///< stored-hash match refuted by full compare
   std::uint64_t stale_evictions = 0;    ///< entries dropped on version skew
   std::uint64_t capacity_evictions = 0; ///< entries dropped at the cap
   std::uint64_t flushes = 0;            ///< full-cache flushes applied
@@ -111,10 +99,10 @@ struct MegaflowStats {
   std::uint64_t reval_entries_scanned = 0; ///< entries examined by scans
   std::uint64_t reval_coalesced_events = 0;///< events folded into a shared pass
   std::uint64_t cache_resizes = 0;         ///< effective-capacity changes
-  // SIMD-scan + subtable-prefilter telemetry (see docs/COUNTERS.md).
-  std::uint64_t simd_blocks = 0;           ///< 16-signature SIMD blocks scanned
+  // Subtable-prefilter telemetry (revalidator suspect scan; see
+  // docs/COUNTERS.md).
   std::uint64_t subtables_skipped = 0;     ///< whole-subtable prefilter skips
-  std::uint64_t prefilter_false_positives = 0; ///< Bloom passed, scan found nothing
+  std::uint64_t prefilter_false_positives = 0; ///< Bloom passed, scan found no suspect
   std::uint64_t reval_term_tests = 0;      ///< per-entry merged-ADD-term intersect tests
   std::uint64_t reval_prefilter_checks = 0;///< Bloom consults by suspect-scan skips
 };
@@ -128,18 +116,10 @@ struct MegaflowCacheConfig {
   std::uint32_t rank_interval = 1024;
   /// EWMA weight of the newest window when re-ranking, in [0, 1].
   double rank_ewma_alpha = 0.25;
-  /// Scan the subtable's 16-bit signature array before any full masked
-  /// compare (true), or full-compare every candidate entry linearly
-  /// (false; the linear-compare ablation baseline).
-  bool signature_prefilter = true;
-  /// How the signature array is scanned: real SIMD (SSE2/NEON) or the
-  /// portable scalar loop. kAuto picks whatever this binary compiled in.
-  SigScanMode sig_scan_mode = SigScanMode::kAuto;
-  /// Consult each subtable's counting-Bloom summary before scanning it —
-  /// a probe skips subtables that provably lack the masked key, and the
-  /// coalesced revalidator skips subtables no merged plan term (removed
-  /// rule id or ADD-mask exact-field value) can touch. False = always
-  /// scan (the ablation baseline).
+  /// Consult each subtable's counting-Bloom summary before the coalesced
+  /// revalidator scans it, skipping subtables no merged plan term
+  /// (removed rule id or ADD-mask exact-field value) can touch. False =
+  /// always scan (the ablation baseline).
   bool subtable_prefilter = true;
   /// Precise per-rule revalidation (true) or PR-1-style whole-cache flush
   /// on every FlowMod (false; the ablation baseline).
@@ -174,28 +154,13 @@ struct MegaflowCacheConfig {
 /// before the call to charge per-call deltas.
 struct ProbeTally {
   std::uint32_t probes = 0;         ///< per-key subtable probes
-  std::uint32_t sig_blocks = 0;     ///< 16-signature SIMD blocks scanned
-  std::uint32_t sig_scalar = 0;     ///< scalar signature compares (portable scan)
-  std::uint32_t full_compares = 0;  ///< full masked-key compares
-  std::uint32_t prefilter_checks = 0; ///< subtable-Bloom consults
+  std::uint32_t buckets = 0;        ///< hash-index buckets examined
+  std::uint32_t full_compares = 0;  ///< full masked-key compares (hash matches)
   /// Pending-event guard tests run while a drain was deferred under a
   /// nonzero revalidate_budget (each is one suspect test of a hit entry
   /// against one queued event; charged at revalidate_per_entry).
   std::uint32_t reval_checks = 0;
 };
-
-/// 16-bit hash fingerprint of a *masked* key — the per-entry signature
-/// scanned ahead of any full compare. It MUST be computed from the masked
-/// key (mask applied before hashing): the stored slot key is the masked
-/// key and never changes across a repair-in-place, so the signature can
-/// never go stale under revalidation. Hashing the raw key instead would
-/// leave lookups (which only have the masked projection) unable to find
-/// repaired entries.
-[[nodiscard]] inline std::uint16_t flow_signature(
-    const pkt::FlowKey& masked) noexcept {
-  const std::uint32_t h = pkt::flow_key_hash(masked);
-  return static_cast<std::uint16_t>(h ^ (h >> 16));
-}
 
 class MegaflowCache {
  public:
@@ -211,7 +176,7 @@ class MegaflowCache {
   /// unwildcard set (or no winner) means the cover set is no longer
   /// uniform: the entry is evicted and the slow path carves finer
   /// megaflows on demand. A repair NEVER rewrites the stored masked key,
-  /// which is what keeps the signature invariant below intact.
+  /// which is what keeps the hash index (keyed by that key) current.
   struct Resolution {
     bool found = false;
     RuleId rule = kRuleNone;
@@ -243,7 +208,7 @@ class MegaflowCache {
   /// Probes subtables in rank order for an entry covering `key` that is
   /// provably current: either revalidated up to `table_version` or
   /// installed at exactly that version. `tally` accumulates the probe /
-  /// signature-scan / compare work (the cost drivers the caller charges
+  /// bucket / compare work (the cost drivers the caller charges
   /// to its cycle meter). Unproven entries found along the way are
   /// evicted, never returned.
   [[nodiscard]] RuleId lookup(const pkt::FlowKey& key,
@@ -340,10 +305,10 @@ class MegaflowCache {
   /// counter positions per fingerprint; add/remove are exact inverses, so
   /// `may_contain` can never answer "absent" for a fingerprint that is
   /// still present (no false negatives — a skip is always sound). The
-  /// fingerprint spaces (masked-key signature, rule id, exact-field
-  /// value) are tag-separated before mixing. The bucket count is a power
-  /// of two sized relative to the subtable's population (the owner
-  /// rebuilds on growth, see maybe_grow_blooms) — a fixed-size filter
+  /// fingerprint spaces (rule id, exact-field value) are tag-separated
+  /// before mixing. The bucket count is a power of two sized relative to
+  /// the subtable's population (the owner rebuilds on growth, see
+  /// maybe_grow_bloom) — a fixed-size filter
   /// would saturate at high fill and silently stop skipping.
   class SubtableBloom {
    public:
@@ -398,9 +363,6 @@ class MegaflowCache {
   };
 
   // Tag-separated Bloom fingerprint constructors.
-  [[nodiscard]] static std::uint32_t fp_signature(std::uint16_t sig) noexcept {
-    return 0x53490000u | sig;  // "SI" | signature
-  }
   [[nodiscard]] static std::uint32_t fp_rule(RuleId rule) noexcept {
     return 0xa5000000u ^ (rule * 2654435761u);
   }
@@ -412,75 +374,70 @@ class MegaflowCache {
  private:
   static constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
 
-  /// Which signature-scan strategy a probe resolved to.
-  enum class ScanKind : std::uint8_t { kLinear, kSigScalar, kSigSimd };
-
   /// One megaflow entry. `key` is the MASKED key (the mask was applied
-  /// before storing), so `sigs[i] == flow_signature(slots[i].key)` holds
-  /// for the subtable's whole lifetime — including across repair-in-place,
-  /// which rewrites rule/version but never the key.
+  /// before storing) and `hash` its flow_key_hash, so the index bucket
+  /// pointing at this slot stays correct for the subtable's whole
+  /// lifetime — including across repair-in-place, which rewrites
+  /// rule/version but never the key.
   struct Slot {
     pkt::FlowKey key;
     RuleId rule = kRuleNone;
-    std::uint64_t version = 0;     ///< install/repair version
+    std::uint32_t hash = 0;        ///< flow_key_hash(key)
     std::uint32_t touch_epoch = 0; ///< last sizing window this entry hit in
+    std::uint64_t version = 0;     ///< install/repair version
+  };
+  /// One hash-index bucket: the stored hash beside the slot it names, so
+  /// a probe refutes a colliding bucket without touching the slot.
+  struct Bucket {
+    static constexpr std::uint32_t kEmpty = 0xffffffffu;
+    std::uint32_t hash = 0;
+    std::uint32_t slot = kEmpty;
   };
   struct Subtable {
-    explicit Subtable(MaskSpec m) : mask(m) {}
+    static constexpr std::size_t kMinBuckets = 8;
+
+    explicit Subtable(MaskSpec m) : mask(m), index(kMinBuckets) {}
     MaskSpec mask;
-    /// Contiguous signature array, parallel to `slots` but padded with
-    /// zeros to a 16-lane block multiple so the SIMD scan can always
-    /// load full blocks; padding lanes are masked off before use.
-    std::vector<std::uint16_t> sigs;
-    std::vector<Slot> slots;
+    std::vector<Slot> slots;  ///< dense; erase_at swap-fills from the back
+    /// Linear-probing index over `slots`, a power of two kept between 1/8
+    /// and 1/2 full (rebuilt outside that band, see resize_index).
+    std::vector<Bucket> index;
     std::uint64_t window_hits = 0;  ///< hits in the current rank window
     double rank = 0.0;              ///< hit EWMA across rank windows
-    /// Counting summaries the prefilter consults to skip this subtable:
-    /// key_bloom holds the masked-key signatures (probe skip),
-    /// plan_bloom the rule ids and exact-field values (revalidator
-    /// skip). Split so neither test pays the other's load, both resized
-    /// with the population (maybe_grow_blooms).
-    SubtableBloom key_bloom;
+    /// Counting summary of rule ids and exact-field values the
+    /// revalidator's prefilter consults to skip this subtable, resized
+    /// with the population (maybe_grow_bloom).
     SubtableBloom plan_bloom;
 
-    /// Index of the slot whose masked key equals `masked`, or kNpos.
-    /// kLinear full-compares every slot until a match (the no-signature
-    /// baseline); the signature kinds scan `sigs` first (SIMD blocks or
-    /// scalar compares per `kind`) and full-compare matches only. Work
-    /// is tallied into `tally`.
+    /// Index of the slot whose masked key equals `masked` (whose
+    /// flow_key_hash is `hash`), or kNpos: one bucket walk from the
+    /// hash's home bucket to the first empty one, full-comparing only
+    /// buckets whose stored hash matches. Work is tallied into `tally`.
     [[nodiscard]] std::size_t find(const pkt::FlowKey& masked,
-                                   std::uint16_t sig, ScanKind kind,
+                                   std::uint32_t hash,
                                    ProbeTally& tally) const;
-    /// Appends `sig` for the slot just pushed onto `slots`, keeping the
-    /// block padding invariant.
-    void sig_push(std::uint16_t sig);
-    /// Swap-with-last removal keeping sigs/slots parallel, dense and
-    /// block-padded, and the Bloom summary exact.
-    void erase_at(std::size_t index);
-    // Bloom bookkeeping: every slot's fingerprints (signature, rule id,
-    // exact-field values under this subtable's mask) enter on insert and
-    // leave on erase; a repair/overwrite swaps only the rule fingerprint.
+    /// Appends `slot` and indexes it (growing the index as needed).
+    void push(const Slot& slot);
+    /// Swap-with-last removal: unindexes the slot by backward-shift
+    /// deletion, re-points the moved last slot's bucket at `index`, and
+    /// keeps the Bloom summary exact.
+    void erase_at(std::size_t slot_index);
+    /// Position of the bucket naming `slot_index` (which must be live).
+    [[nodiscard]] std::size_t bucket_of(std::size_t slot_index) const;
+    /// Rebuilds the index at `buckets` (a power of two) from `slots`.
+    void resize_index(std::size_t buckets);
+    // Bloom bookkeeping: every slot's fingerprints (rule id, exact-field
+    // values under this subtable's mask) enter on insert and leave on
+    // erase; a repair/overwrite swaps only the rule fingerprint.
     void bloom_add_slot(const Slot& slot);
     void bloom_remove_slot(const Slot& slot);
     void bloom_update_rule(RuleId old_rule, RuleId new_rule);
-    /// Keeps the filters ≥ 16 buckets per slot (growing to 32× for
-    /// hysteresis): rebuilds both from the live slots when the
-    /// population outgrows them, so skip efficacy survives high fill.
-    void maybe_grow_blooms();
+    /// Keeps the filter ≥ 16 buckets per slot (growing to 32× for
+    /// hysteresis): rebuilds it from the live slots when the population
+    /// outgrows it, so skip efficacy survives high fill.
+    void maybe_grow_bloom();
   };
 
-  /// Resolves the configured sig_scan_mode against what this binary
-  /// compiled in.
-  [[nodiscard]] bool use_simd_scan() const noexcept {
-    return config_.sig_scan_mode != SigScanMode::kScalar &&
-           simd::kSimdCompiledIn;
-  }
-  /// The scan strategy every find() in this cache resolves to — the
-  /// single definition shared by lookups and the insert dup-scan.
-  [[nodiscard]] ScanKind scan_kind() const noexcept {
-    if (!config_.signature_prefilter) return ScanKind::kLinear;
-    return use_simd_scan() ? ScanKind::kSigSimd : ScanKind::kSigScalar;
-  }
   /// True iff some entry of `subtable` could intersect `match` — the
   /// subtable-level projection of the per-entry may_intersect test,
   /// answered from the Bloom summary's exact-field values alone
@@ -489,7 +446,8 @@ class MegaflowCache {
       const Subtable& subtable, const openflow::Match& match,
       std::uint64_t& checks);
 
-  /// Probes one subtable for `key`, tallying work and signature stats.
+  /// Probes one subtable for `masked`, tallying work and hash-match
+  /// stats.
   [[nodiscard]] std::size_t probe_subtable(const Subtable& subtable,
                                            const pkt::FlowKey& masked,
                                            ProbeTally& tally);

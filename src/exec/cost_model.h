@@ -8,7 +8,7 @@
 /// Per-operation virtual CPU costs, in cycles on a 3 GHz core (the paper's
 /// Xeon E5-2690 v2 frequency).
 ///
-/// Calibration anchors (see EXPERIMENTS.md §calibration):
+/// Calibration anchors (see docs/BENCHMARKS.md, "Cost-model calibration"):
 ///  * OVS-DPDK with EMC hits is widely reported at ~11–16 Mpps per PMD
 ///    core for port-to-port forwarding. Our per-packet switch cost is
 ///    deq + emc + action + enq ≈ 190 cycles → ~15.8 Mpps/core.
@@ -36,19 +36,15 @@ struct CostModel {
   std::uint32_t emc_hit = 55;              ///< exact-match cache probe
   std::uint32_t megaflow_per_subtable = 70;  ///< dpcls scalar probe: mask + hash + dispatch
   // Subtable compare work, charged on top of the per-probe base. A probe
-  // may first consult the subtable's counting-Bloom summary (one hash +
-  // two counter loads) and skip the subtable outright; otherwise it
-  // scans the contiguous 16-bit signature array — one real SIMD compare
-  // per 16-entry block (hw::simd), or one scalar compare per signature
-  // when the portable fallback is built in or `sig_scan_mode` forces it
-  // — and full-compares only signature matches. With the signature
-  // prefilter disabled every candidate entry pays the full masked
-  // compare: the linear-scan baseline the signature ablation measures
-  // against.
-  std::uint32_t megaflow_sig_block = 4;      ///< one 16-lane SIMD signature block
-  std::uint32_t megaflow_sig_scalar = 2;     ///< one scalar signature compare
-  std::uint32_t megaflow_prefilter_check = 6;///< one subtable-Bloom consult
+  // walks the subtable's hash index from the masked key's home bucket to
+  // the first empty one — one 8-byte bucket load and hash compare each,
+  // ~1.5 buckets per probe at the index's load — and full-compares only
+  // buckets whose stored hash matches.
+  std::uint32_t megaflow_bucket_probe = 4;   ///< one hash-index bucket examined
   std::uint32_t megaflow_full_compare = 20;  ///< full masked-key compare
+  /// One subtable-Bloom consult (hash + two counter loads) by the
+  /// revalidator's prefilter.
+  std::uint32_t megaflow_prefilter_check = 6;
   // Batched classification (dpcls batch loop): probing one subtable for a
   // whole batch amortizes mask load, rank lookup and EWMA accounting, so
   // the per-packet-per-subtable charge drops below the scalar base.

@@ -38,6 +38,35 @@ struct ChannelHeader {
   std::uint64_t epoch = 0;
   PortId port_a = kPortNone;  ///< switch port on the "a" end
   PortId port_b = kPortNone;  ///< switch port on the "b" end
+
+  // The words below keep a bypass link's frames in send order across
+  // setup and teardown (see GuestPmd). Each is written by one side with
+  // a release store and read by the other with an acquire load, via
+  // std::atomic_ref. The constructor zeroes them before `magic` is
+  // published; a bypass direction's words are zeroed again by the
+  // receiving PMD when it attaches RX, since a region the pair's other
+  // direction kept alive is reused for the next link.
+
+  /// Normal channel: how far the switch has *finished* forwarding b2a —
+  /// the ring's consumer index, stored after every frame dequeued up to
+  /// it sits on an output ring or was dropped. A sender switching to a
+  /// bypass ring publishes that ring's frames only once this passes its
+  /// own producer index at the switch.
+  std::uint64_t switch_rx_done = 0;
+
+  /// Bypass channel, one per direction ([0] a2b, [1] b2a).
+  struct Direction {
+    /// Stored 1 by the sending PMD when it detaches TX, after its last
+    /// enqueue on the ring and before anything it sends through the
+    /// switch.
+    std::uint32_t tx_closed = 0;
+    /// Stored 1 by the receiving PMD on its first dequeue from the ring,
+    /// which it makes only after every normal-channel frame older than
+    /// the ring's first frame. The sender does not detach a non-empty
+    /// ring before this reads 1.
+    std::uint32_t rx_started = 0;
+  };
+  Direction direction[2];
 };
 
 /// View over a channel region. Direction naming: `a2b` carries packets
@@ -70,6 +99,15 @@ class ChannelView {
   }
   [[nodiscard]] MbufRing& a2b() const noexcept { return *a2b_; }
   [[nodiscard]] MbufRing& b2a() const noexcept { return *b2a_; }
+  /// The header's handshake words for `ring` (this channel's a2b or b2a).
+  [[nodiscard]] ChannelHeader::Direction& direction(
+      const MbufRing& ring) const noexcept {
+    return header_->direction[&ring == a2b_ ? 0 : 1];
+  }
+  /// The header's switch-progress word (normal channels).
+  [[nodiscard]] std::uint64_t& switch_rx_done() const noexcept {
+    return header_->switch_rx_done;
+  }
 
   /// Total mbufs currently queued in both directions.
   [[nodiscard]] std::size_t occupancy() const noexcept {

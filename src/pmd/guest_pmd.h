@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "exec/context.h"
@@ -79,12 +80,35 @@ class GuestPmd {
   /// and unconditionally — controller packet-out frames and in-flight
   /// frames from before a bypass activation must be delivered even when
   /// the bypass is saturated — then the bypass channels fill the rest.
+  ///
+  /// Frame order across a link's life, per sender:
+  ///   * setup — a ring frame comes after every frame its sender sent
+  ///     through the switch before switching over. The sender publishes
+  ///     ring frames only once the switch has forwarded those (see
+  ///     tx_burst), and this call reads each ring's ready count before it
+  ///     polls the normal channel, so the older frames are seen first;
+  ///   * teardown — a ring frame comes before any frame its sender sent
+  ///     through the switch after detaching. When this call took
+  ///     normal-channel frames and a ring whose sender has detached TX
+  ///     (its "TX closed" word, read after the normal poll) still holds
+  ///     frames, the ring's frames are returned first and the
+  ///     normal-channel frames are held back — delivered, in order, once
+  ///     the closed ring is empty.
+  /// Nothing is dropped or refused for either.
   std::uint16_t rx_burst(std::span<mbuf::Mbuf*> out,
                          exec::CycleMeter& meter) noexcept;
 
   /// Transmits the burst through the bypass channel when one is active,
   /// otherwise through the normal channel. Returns frames accepted; the
   /// caller retains ownership of the rest (typically frees them).
+  ///
+  /// Right after a bypass TX attach, accepted frames are staged on the
+  /// ring but not yet visible to the receiver: they are published once
+  /// the switch reports (ChannelHeader::switch_rx_done) that it has
+  /// forwarded everything this port sent through it before the attach.
+  /// A detach arriving before the ring may close is acknowledged late:
+  /// once the staged frames are published and the receiver has started
+  /// on the ring (or it is empty).
   std::uint16_t tx_burst(std::span<mbuf::Mbuf* const> pkts,
                          exec::CycleMeter& meter) noexcept;
 
@@ -114,9 +138,10 @@ class GuestPmd {
     return counters_;
   }
 
-  /// Frames queued toward the VM on the normal channel (diagnostics).
+  /// Frames queued toward the VM on the normal channel, including any
+  /// held back behind a closed bypass ring (diagnostics).
   [[nodiscard]] std::size_t normal_rx_backlog() const noexcept {
-    return normal_.valid() ? normal_.a2b().size() : 0;
+    return (normal_.valid() ? normal_.a2b().size() : 0) + held_.size();
   }
 
   static constexpr std::uint32_t kCtrlPollInterval = 64;
@@ -129,9 +154,30 @@ class GuestPmd {
 
   /// Stamps every accepted frame of a tx burst (called after enqueue;
   /// the pointers are still ours to write through under SimRuntime).
-  void int_stamp_burst(std::span<mbuf::Mbuf* const> pkts,
-                       std::size_t accepted, std::size_t queue_depth,
-                       exec::CycleMeter& meter) noexcept;
+  /// Returns the bytes the stamps added.
+  std::uint64_t int_stamp_burst(std::span<mbuf::Mbuf* const> pkts,
+                                std::size_t accepted, std::size_t queue_depth,
+                                exec::CycleMeter& meter) noexcept;
+
+  /// Dequeues one bypass RX ring into `out`, charging and counting it;
+  /// the first frame taken stores the ring's "RX started" word.
+  std::size_t rx_bypass_ring(std::size_t i, std::span<mbuf::Mbuf*> out,
+                             exec::CycleMeter& meter) noexcept;
+  /// True once ring `i`'s sender has detached TX (sticky: the word is
+  /// loaded only until it first reads closed).
+  bool rx_closed(std::size_t i) noexcept;
+  /// Fills `out` from `total` on: closed bypass rings first, then — once
+  /// they are all empty — the held-back normal-channel frames. Returns
+  /// the new total.
+  std::size_t release_held(std::span<mbuf::Mbuf*> out, std::size_t total,
+                           exec::CycleMeter& meter) noexcept;
+  /// Moves the TX side past its fences: publishes the staged frames once
+  /// the switch has forwarded everything older, then completes a
+  /// deferred detach once the ring may close. Cheap no-op otherwise.
+  void advance_tx() noexcept;
+  /// Closes the bypass TX ring (publishing "TX closed"), reverts to the
+  /// normal channel and acknowledges `msg`.
+  void detach_tx(const CtrlMsg& msg);
 
   shm::ShmManager* shm_ = nullptr;
   VmId vm_ = 0;
@@ -145,17 +191,33 @@ class GuestPmd {
 
   // Bypass TX state (at most one active p-2-p link out of this port).
   MbufRing* bypass_tx_ring_ = nullptr;
+  ChannelHeader::Direction* bypass_tx_dir_ = nullptr;  ///< ring's handshake
   PortId bypass_tx_peer_ = kPortNone;
   std::uint32_t bypass_tx_slot_ = kStatsSlotNone;
   std::array<char, kCtrlRegionNameLen> bypass_tx_region_{};
+  /// Setup fence: frames are staged on the ring, unpublished, until the
+  /// switch's progress on the normal b2a ring passes `tx_open_mark_` (its
+  /// producer index at the attach).
+  bool tx_staging_ = false;
+  std::uint64_t tx_open_mark_ = 0;
+  std::uint64_t tx_staged_ = 0;  ///< ring producer index staged up to
+  /// A kDetachBypassTx waiting for the ring to be allowed to close.
+  bool detach_pending_ = false;
+  CtrlMsg pending_detach_{};
 
   // Bypass RX state.
   struct BypassRx {
     MbufRing* ring = nullptr;
+    ChannelHeader::Direction* dir = nullptr;  ///< ring's handshake words
+    bool closed = false;   ///< dir->tx_closed read 1
+    bool started = false;  ///< dir->rx_started stored
     std::array<char, kCtrlRegionNameLen> region{};
   };
   std::array<BypassRx, kMaxBypassRx> bypass_rx_{};
   std::size_t bypass_rx_count_ = 0;
+  /// Normal-channel frames held back behind a closed, non-empty bypass
+  /// ring (see rx_burst); oldest first.
+  std::vector<mbuf::Mbuf*> held_;
 
   std::uint32_t rx_calls_since_ctrl_ = 0;
   PmdCounters counters_;

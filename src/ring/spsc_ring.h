@@ -87,27 +87,67 @@ class SpscRing {
   /// (0 when full). Burst semantics match rte_ring_enqueue_burst.
   /// Ignoring the return silently drops the unaccepted tail of the burst.
   [[nodiscard]] std::size_t enqueue_burst(std::span<const T> items) noexcept {
-    const std::uint64_t tail = tail_.value.load(std::memory_order_relaxed);
+    std::uint64_t tail = produced();
+    const std::size_t n = stage_burst(items, tail);
+    // The tail publish is the producer->consumer happens-before edge: the
+    // consumer's matching acquire (below) sees every slot written above.
+    if (n > 0) HW_SYNC_RELEASE(&tail_);
+    tail_.value.store(tail, std::memory_order_release);
+    return n;
+  }
+
+  /// Producer side: writes up to items.size() entries into the free
+  /// slots after index `staged` WITHOUT making them visible to the
+  /// consumer, advancing `staged` past them; returns how many fit.
+  /// `staged` starts at produced(); publish(staged) later hands every
+  /// staged entry over at once, in order.
+  [[nodiscard]] std::size_t stage_burst(std::span<const T> items,
+                                        std::uint64_t& staged) noexcept {
     std::uint64_t head = head_cache_.value;
-    std::size_t free_slots = capacity() - static_cast<std::size_t>(tail - head);
+    std::size_t free_slots =
+        capacity() - static_cast<std::size_t>(staged - head);
     if (free_slots < items.size()) {
       // Cached-index refresh is the producer's acquire of the consumer's
       // head release: slots below `head` are ours to overwrite.
       HW_SYNC_ACQUIRE(&head_);
       head = head_.value.load(std::memory_order_acquire);
       head_cache_.value = head;
-      free_slots = capacity() - static_cast<std::size_t>(tail - head);
+      free_slots = capacity() - static_cast<std::size_t>(staged - head);
     }
     const std::size_t n = items.size() < free_slots ? items.size() : free_slots;
     T* slot_array = slots();
     for (std::size_t i = 0; i < n; ++i) {
-      slot_array[(tail + i) & mask_] = items[i];
+      slot_array[(staged + i) & mask_] = items[i];
     }
-    // The tail publish is the producer->consumer happens-before edge: the
-    // consumer's matching acquire (below) sees every slot written above.
-    if (n > 0) HW_SYNC_RELEASE(&tail_);
-    tail_.value.store(tail + n, std::memory_order_release);
+    staged += n;
     return n;
+  }
+
+  /// Producer side: makes every entry staged up to index `staged`
+  /// visible to the consumer.
+  void publish(std::uint64_t staged) noexcept {
+    HW_SYNC_RELEASE(&tail_);
+    tail_.value.store(staged, std::memory_order_release);
+  }
+
+  /// Producer side: entries published so far (the producer index).
+  [[nodiscard]] std::uint64_t produced() const noexcept {
+    return tail_.value.load(std::memory_order_relaxed);
+  }
+  /// Consumer side: entries dequeued so far (the consumer index).
+  [[nodiscard]] std::uint64_t consumed() const noexcept {
+    return head_.value.load(std::memory_order_relaxed);
+  }
+
+  /// Consumer side: acquires the producer index and returns how many
+  /// entries are ready. A dequeue_burst of at most that many right after
+  /// needs no second load.
+  [[nodiscard]] std::size_t poll_available() noexcept {
+    HW_SYNC_ACQUIRE(&tail_);
+    const std::uint64_t tail = tail_.value.load(std::memory_order_acquire);
+    tail_cache_.value = tail;
+    return static_cast<std::size_t>(
+        tail - head_.value.load(std::memory_order_relaxed));
   }
 
   /// Convenience single-item enqueue; returns false when full.

@@ -46,7 +46,6 @@ EngineCounters ForwardingEngine::counters() const noexcept {
   out.reval_entries_scanned = tiers.reval_entries_scanned;
   out.reval_coalesced_events = tiers.reval_coalesced_events;
   out.cache_resizes = tiers.cache_resizes;
-  out.simd_blocks = tiers.simd_blocks;
   out.subtables_skipped = tiers.subtables_skipped;
   out.prefilter_false_positives = tiers.prefilter_false_positives;
   return out;
@@ -103,6 +102,7 @@ std::uint32_t ForwardingEngine::poll(exec::CycleMeter& meter) {
     meter.charge(static_cast<Cycles>(n) * cost_->ring_deq_per_pkt);
     acc(*port).rx_packets += n;
     process_burst(*port, std::span(rx_buf_.data(), n), meter);
+    port->rx_complete();
     total += static_cast<std::uint32_t>(n);
   }
   // RSS-home ports: this engine owns the physical rx ring; every frame
@@ -116,6 +116,9 @@ std::uint32_t ForwardingEngine::poll(exec::CycleMeter& meter) {
     meter.charge(static_cast<Cycles>(n) * cost_->ring_deq_per_pkt);
     acc(*home.port).rx_packets += n;
     distribute(home, std::span(rx_buf_.data(), n), meter);
+    // Frames handed to another engine's queue may still trail this:
+    // under RSS the setup fence orders this engine's share only.
+    home.port->rx_complete();
     total += static_cast<std::uint32_t>(n);
   }
   // Queues other engines' distributors filled with our share.

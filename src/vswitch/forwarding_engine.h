@@ -16,7 +16,7 @@
 /// \file forwarding_engine.h
 /// One OVS-DPDK PMD thread: polls its assigned ports in round-robin
 /// bursts, classifies each received burst through the three-tier datapath
-/// classifier (exact-match cache → signature-accelerated megaflow
+/// classifier (exact-match cache → hash-indexed megaflow
 /// tuple-space search → wildcard table slow path) — as one batched
 /// lookup per burst, like the dpcls batch loop — executes actions, and
 /// flushes per-destination bursts. Every per-hop cost of the "traditional
@@ -42,7 +42,7 @@ struct EngineCounters {
   std::uint64_t megaflow_revalidations = 0;  ///< precise re-checks on FlowMod
   std::uint64_t emc_revalidations = 0;       ///< EMC slots repaired/evicted
   std::uint64_t slow_path_lookups = 0;
-  // Signature prefilter + batch pipeline telemetry (mirrored).
+  // Hash-index + batch pipeline telemetry (mirrored).
   std::uint64_t sig_hits = 0;
   std::uint64_t sig_false_positives = 0;
   std::uint64_t batches = 0;        ///< batched classify rounds
@@ -52,10 +52,9 @@ struct EngineCounters {
   std::uint64_t reval_entries_scanned = 0;  ///< entries examined by scans
   std::uint64_t reval_coalesced_events = 0; ///< events folded into shared scans
   std::uint64_t cache_resizes = 0;          ///< megaflow capacity retargets
-  // SIMD-scan + subtable-prefilter telemetry (mirrored).
-  std::uint64_t simd_blocks = 0;            ///< 16-signature SIMD blocks scanned
+  // Revalidator subtable-prefilter telemetry (mirrored).
   std::uint64_t subtables_skipped = 0;      ///< whole-subtable prefilter skips
-  std::uint64_t prefilter_false_positives = 0; ///< Bloom passed, scan empty
+  std::uint64_t prefilter_false_positives = 0; ///< Bloom passed, no suspect
   // RSS scale-out telemetry (engine-local; see docs/SCALEOUT.md).
   std::uint64_t rss_distributed = 0;  ///< frames this engine hashed + steered
   std::uint64_t rss_queue_drops = 0;  ///< steered frames a full rx queue dropped

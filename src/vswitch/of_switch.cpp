@@ -42,7 +42,6 @@ OfSwitch::OfSwitch(shm::ShmManager& shm, mbuf::Mempool& pool,
       .batch_classify = config_.batch_classify};
   classifier_config.megaflow.revalidate_budget = config_.revalidate_budget;
   classifier_config.megaflow.auto_size = config_.megaflow_auto_size;
-  classifier_config.megaflow.sig_scan_mode = config_.sig_scan_mode;
   classifier_config.megaflow.subtable_prefilter = config_.subtable_prefilter;
   for (std::uint32_t i = 0; i < engine_count; ++i) {
     engines_.push_back(std::make_unique<ForwardingEngine>(

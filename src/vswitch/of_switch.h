@@ -46,11 +46,8 @@ struct SwitchConfig {
   /// Per-engine megaflow sizing from the measured working set (EWMA of
   /// distinct entries touched per window).
   bool megaflow_auto_size = true;
-  /// Signature-array scan strategy: SIMD blocks (whatever backend this
-  /// binary compiled in) or the portable scalar loop, per engine.
-  classifier::SigScanMode sig_scan_mode = classifier::SigScanMode::kAuto;
-  /// Per-subtable counting-Bloom prefilter: probes and revalidator scans
-  /// skip subtables that provably cannot match/intersect.
+  /// Per-subtable counting-Bloom prefilter: revalidator suspect scans
+  /// skip subtables no pending change can intersect.
   bool subtable_prefilter = true;
   std::uint32_t engine_count = 1;    ///< PMD threads (OVS pmd-cpu-mask)
   /// RSS-style rx sharding across the engine pool: each port's *home*

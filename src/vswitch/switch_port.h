@@ -1,10 +1,12 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
 
+#include "analysis/annotate.h"
 #include "common/types.h"
 #include "mbuf/mbuf.h"
 #include "nic/sim_nic.h"
@@ -46,6 +48,10 @@ class SwitchPort {
   /// count. The caller owns (and typically frees) the remainder.
   virtual std::size_t tx_burst(std::span<mbuf::Mbuf* const> pkts) noexcept = 0;
 
+  /// Called once every frame rx_burst returned so far has been forwarded
+  /// or dropped.
+  virtual void rx_complete() noexcept {}
+
   /// Switch-side counters (forwarded traffic only; bypassed traffic is
   /// merged in from the shared statistics memory by OfSwitch).
   [[nodiscard]] openflow::PortStats& stats() noexcept { return stats_; }
@@ -73,6 +79,13 @@ class DpdkrSwitchPort final : public SwitchPort {
   }
   std::size_t tx_burst(std::span<mbuf::Mbuf* const> pkts) noexcept override {
     return channel_.a2b().enqueue_burst(pkts);
+  }
+  /// Publishes the switch's progress to the guest: the setup fence a
+  /// PMD switching to a bypass ring waits on (ChannelHeader).
+  void rx_complete() noexcept override {
+    HW_ATOMIC_WRITE(&channel_.switch_rx_done());
+    std::atomic_ref<std::uint64_t>(channel_.switch_rx_done())
+        .store(channel_.b2a().consumed(), std::memory_order_release);
   }
 
   [[nodiscard]] pmd::ChannelView& channel() noexcept { return channel_; }

@@ -19,16 +19,14 @@
 
 /// \file classifier_equiv_test.cpp
 /// DIFFERENTIAL CLASSIFIER-EQUIVALENCE FUZZER. The wildcard table alone
-/// (FlowTable::lookup) is the semantic oracle: whatever caching, signature
-/// prefiltering, batching or revalidation the three-tier DpClassifier
+/// (FlowTable::lookup) is the semantic oracle: whatever caching, hash
+/// indexing, batching or revalidation the three-tier DpClassifier
 /// performs, it must return exactly the rule the oracle picks for every
 /// packet — across random rule sets, FlowMod churn and random packet
-/// streams. Three classifier variants are compared against the oracle and
+/// streams. Five classifier variants are compared against the oracle and
 /// each other on the same stream:
 ///
-///   * scalar     — lookup() per packet, signature prefilter on;
-///   * scalar-ns  — lookup() per packet, signature prefilter off (the
-///                  linear full-compare baseline);
+///   * scalar     — lookup() per packet, default config;
 ///   * batched    — lookup_batch() over 32-packet batches;
 ///   * per-event  — lookup() per packet, coalesce_revalidation off (the
 ///                  one-scan-per-event revalidator baseline), which makes
@@ -40,12 +38,10 @@
 ///                  drains are deferred and hits are served through the
 ///                  pending-event guards (no stale serve across a
 ///                  deferred drain, proven against the oracle);
-///   * scalar-scan— lookup() per packet with sig_scan_mode = kScalar, so
-///                  the portable signature loop must agree bit-for-bit
-///                  with the SIMD block scan the default variants run;
 ///   * nopf       — lookup() per packet with the subtable prefilter off,
-///                  proving a Bloom skip never hides an entry (and that
-///                  the default variants' skips never change a result).
+///                  proving a revalidator Bloom skip never hides a
+///                  suspect (and that the default variants' skips never
+///                  change a result).
 ///
 /// Seeds are fixed (deterministic, reproducible); every assertion carries
 /// the reproducing seed, and instances are named by it, so a failure is a
@@ -135,9 +131,6 @@ TEST_P(ClassifierEquivalenceTest, AllPathsAgreeWithWildcardOracle) {
   FlowTable table;
 
   DpClassifier scalar(table, cost);
-  DpClassifierConfig nosig_config;
-  nosig_config.megaflow.signature_prefilter = false;
-  DpClassifier scalar_nosig(table, cost, nosig_config);
   DpClassifier batched(table, cost);
   DpClassifierConfig perevent_config;
   perevent_config.megaflow.coalesce_revalidation = false;
@@ -145,9 +138,6 @@ TEST_P(ClassifierEquivalenceTest, AllPathsAgreeWithWildcardOracle) {
   DpClassifierConfig deferred_config;
   deferred_config.megaflow.revalidate_budget = 4;
   DpClassifier scalar_deferred(table, cost, deferred_config);
-  DpClassifierConfig scalarscan_config;
-  scalarscan_config.megaflow.sig_scan_mode = SigScanMode::kScalar;
-  DpClassifier scalar_scan(table, cost, scalarscan_config);
   DpClassifierConfig nopf_config;
   nopf_config.megaflow.subtable_prefilter = false;
   DpClassifier scalar_nopf(table, cost, nopf_config);
@@ -180,23 +170,16 @@ TEST_P(ClassifierEquivalenceTest, AllPathsAgreeWithWildcardOracle) {
       const RuleId oracle = id_of(table.lookup(keys[i]));
       const RuleId got_scalar =
           id_of(scalar.lookup(keys[i], hashes[i], meter).entry);
-      const RuleId got_nosig =
-          id_of(scalar_nosig.lookup(keys[i], hashes[i], meter).entry);
       const RuleId got_batched = id_of(outcomes[i].entry);
       const RuleId got_perevent =
           id_of(scalar_perevent.lookup(keys[i], hashes[i], meter).entry);
       const RuleId got_deferred =
           id_of(scalar_deferred.lookup(keys[i], hashes[i], meter).entry);
-      const RuleId got_scalarscan =
-          id_of(scalar_scan.lookup(keys[i], hashes[i], meter).entry);
       const RuleId got_nopf =
           id_of(scalar_nopf.lookup(keys[i], hashes[i], meter).entry);
       ASSERT_EQ(got_scalar, oracle)
           << "seed " << seed << " round " << round << " pkt " << i
           << ": scalar path diverged from the wildcard-table oracle";
-      ASSERT_EQ(got_nosig, oracle)
-          << "seed " << seed << " round " << round << " pkt " << i
-          << ": no-signature scalar path diverged from the oracle";
       ASSERT_EQ(got_batched, oracle)
           << "seed " << seed << " round " << round << " pkt " << i
           << ": batched path diverged from the oracle";
@@ -207,10 +190,6 @@ TEST_P(ClassifierEquivalenceTest, AllPathsAgreeWithWildcardOracle) {
       ASSERT_EQ(got_deferred, oracle)
           << "seed " << seed << " round " << round << " pkt " << i
           << ": budget-deferred path served stale across a deferred drain";
-      ASSERT_EQ(got_scalarscan, oracle)
-          << "seed " << seed << " round " << round << " pkt " << i
-          << ": portable scalar signature scan diverged from the oracle "
-             "(SIMD and scalar scans must be bit-identical)";
       ASSERT_EQ(got_nopf, oracle)
           << "seed " << seed << " round " << round << " pkt " << i
           << ": no-prefilter baseline diverged from the oracle (a Bloom "
@@ -245,16 +224,9 @@ TEST_P(ClassifierEquivalenceTest, AllPathsAgreeWithWildcardOracle) {
                 scalar_deferred.counters().megaflow_hits,
             0u)
       << "seed " << seed;
-  // The SIMD/prefilter machinery must have genuinely run: the default
-  // variants scanned SIMD blocks (when this binary compiled a backend
-  // in) and skipped provably clean subtables; the ablation variants
-  // never touched either path.
-  if (simd::kSimdCompiledIn) {
-    EXPECT_GT(scalar.counters().simd_blocks, 0u) << "seed " << seed;
-  } else {
-    EXPECT_EQ(scalar.counters().simd_blocks, 0u) << "seed " << seed;
-  }
-  EXPECT_EQ(scalar_scan.counters().simd_blocks, 0u) << "seed " << seed;
+  // The revalidator prefilter must have genuinely run: the default
+  // variant skipped provably clean subtables; the ablation variant never
+  // touched the path.
   EXPECT_GT(scalar.counters().subtables_skipped, 0u) << "seed " << seed;
   EXPECT_EQ(scalar_nopf.counters().subtables_skipped, 0u) << "seed " << seed;
 }
@@ -264,8 +236,9 @@ TEST_P(ClassifierEquivalenceTest, AllPathsAgreeWithWildcardOracle) {
 /// per-engine classifiers — all subscribed to the SAME FlowTable, so the
 /// change subscription is exercised as a genuine multi-subscriber
 /// fan-out — and whichever engine a packet lands on must return exactly
-/// the wildcard-oracle verdict, across FlowMod churn, budget deferral
-/// (engine 2 defers on a revalidate_budget) and random bucket
+/// the wildcard-oracle verdict, across FlowMod churn, the revalidator
+/// prefilter switched off (engine 1), budget deferral (engine 2 defers
+/// on a revalidate_budget) and random bucket
 /// migrations mid-stream (the auto-load-balance handoff). Engine 3
 /// classifies its share through lookup_batch, so the sharded stream
 /// also crosses the scalar/batched boundary.
@@ -277,9 +250,9 @@ TEST_P(ClassifierEquivalenceTest, ShardedEnginePoolAgreesWithOracle) {
 
   constexpr std::uint32_t kEngines = 4;
   DpClassifier engine0(table, cost);
-  DpClassifierConfig nosig_config;
-  nosig_config.megaflow.signature_prefilter = false;
-  DpClassifier engine1(table, cost, nosig_config);
+  DpClassifierConfig nopf_config;
+  nopf_config.megaflow.subtable_prefilter = false;
+  DpClassifier engine1(table, cost, nopf_config);
   DpClassifierConfig deferred_config;
   deferred_config.megaflow.revalidate_budget = 4;
   DpClassifier engine2(table, cost, deferred_config);

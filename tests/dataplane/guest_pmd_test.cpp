@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "exec/context.h"
 #include "pmd/guest_pmd.h"
 
@@ -81,6 +84,59 @@ class GuestPmdTest : public ::testing::Test {
     return msg;
   }
 
+  CtrlMsg detach_tx_msg(std::string_view region) {
+    CtrlMsg msg;
+    msg.op = CtrlOp::kDetachBypassTx;
+    msg.seq = next_seq_++;
+    msg.set_region(region);
+    return msg;
+  }
+
+  // A second guest PMD, on kPeer in VM kPeerVm, transmitting toward
+  // kPort: the sender side of a bypass link into the PMD under test.
+  static constexpr VmId kPeerVm = 2;
+
+  GuestPmd make_peer_pmd() {
+    auto normal_region = shm_.create(normal_channel_region(kPeer),
+                                     ChannelView::bytes_required(64));
+    peer_normal_ = ChannelView::create_in(*normal_region.value(), 64, kPeer,
+                                          kPeer, 1)
+                       .value();
+    auto ctrl_region = shm_.create(control_channel_region(kPeer),
+                                   ControlChannel::bytes_required());
+    peer_ctrl_ = ControlChannel::create_in(*ctrl_region.value()).value();
+    EXPECT_TRUE(shm_.plug(normal_channel_region(kPeer), kPeerVm).is_ok());
+    EXPECT_TRUE(shm_.plug(control_channel_region(kPeer), kPeerVm).is_ok());
+    auto pmd = GuestPmd::attach(shm_, kPeerVm, kPeer, stats_, cost_);
+    EXPECT_TRUE(pmd.is_ok());
+    return std::move(pmd).take();
+  }
+
+  /// Control round trip to the peer PMD; returns the ack's ok flag.
+  int peer_ctrl(GuestPmd& pmd, const CtrlMsg& msg) {
+    EXPECT_TRUE(peer_ctrl_.cmd().enqueue(msg));
+    (void)pmd.process_control(meter_);
+    CtrlMsg ack;
+    EXPECT_TRUE(peer_ctrl_.ack().dequeue(ack));
+    return ack.ok;
+  }
+
+  CtrlMsg peer_attach_tx_msg(std::string_view region) {
+    CtrlMsg msg = attach_tx_msg(region);
+    msg.peer_port = kPort;
+    return msg;
+  }
+
+  /// What the switch does for the peer's traffic: moves every frame it
+  /// sent through the switch to this port, then reports its progress.
+  void forward_peer_frames() {
+    mbuf::Mbuf* frame = nullptr;
+    while (peer_normal_.b2a().dequeue(frame)) {
+      EXPECT_TRUE(normal_.a2b().enqueue(frame));
+    }
+    peer_normal_.switch_rx_done() = peer_normal_.b2a().consumed();
+  }
+
   shm::ShmManager shm_;
   exec::CostModel cost_;
   exec::CycleMeter meter_;
@@ -88,6 +144,8 @@ class GuestPmdTest : public ::testing::Test {
   ChannelView normal_;
   ChannelView bypass_;
   ControlChannel ctrl_;
+  ChannelView peer_normal_;
+  ControlChannel peer_ctrl_;
   std::uint16_t next_seq_ = 1;
   mbuf::Mbuf frames_[16];
 };
@@ -277,6 +335,109 @@ TEST_F(GuestPmdTest, ControlPolledAutomaticallyDuringRx) {
     (void)pmd.rx_burst(rx, meter_);
   }
   EXPECT_TRUE(pmd.bypass_tx_active());
+}
+
+/// REGRESSION (bypass teardown reorder): a frame the sender put on a
+/// bypass ring must reach the receiving app before any frame that sender
+/// later sent through the switch. Built deterministically: the receiver
+/// lags (it has taken two of eight ring frames), the sender detaches TX
+/// with six still queued, and four newer frames land on the receiver's
+/// normal channel. Draining in bursts of four, the receiver must see all
+/// twelve in send order — the old normal-first poll handed out the four
+/// newer frames ahead of the six older ones.
+TEST_F(GuestPmdTest, BypassFramesStayAheadOfPostDetachFrames) {
+  GuestPmd sender = make_peer_pmd();
+  GuestPmd receiver = make_pmd();
+  const std::string region = make_bypass(kPeer, kPort);
+  ASSERT_TRUE(shm_.plug(region, kPeerVm).is_ok());
+  ASSERT_EQ(ctrl_roundtrip(receiver, attach_rx_msg(region)).ok, 1);
+  ASSERT_EQ(peer_ctrl(sender, peer_attach_tx_msg(region)), 1);
+
+  std::vector<mbuf::Mbuf*> sent;
+  for (int i = 0; i < 12; ++i) sent.push_back(&frames_[i]);
+  ASSERT_EQ(sender.tx_burst(std::span(sent.data(), 8), meter_), 8u);
+  ASSERT_EQ(sender.counters().tx_bypass, 8u);
+  std::vector<mbuf::Mbuf*> received;
+  mbuf::Mbuf* rx[4];
+  ASSERT_EQ(receiver.rx_burst(std::span(rx, 2), meter_), 2u);
+  received.insert(received.end(), rx, rx + 2);
+
+  // Teardown: TX detaches with six frames still on the ring; the next
+  // four go through the switch, which forwards them to the receiver.
+  ASSERT_EQ(peer_ctrl(sender, detach_tx_msg(region)), 1);
+  ASSERT_FALSE(sender.bypass_tx_active());
+  ASSERT_EQ(sender.tx_burst(std::span(sent.data() + 8, 4), meter_), 4u);
+  forward_peer_frames();
+  ASSERT_EQ(normal_.a2b().size(), 4u);
+
+  for (int call = 0; call < 8 && received.size() < sent.size(); ++call) {
+    const std::uint16_t n = receiver.rx_burst(rx, meter_);
+    received.insert(received.end(), rx, rx + n);
+  }
+  EXPECT_EQ(received, sent);
+  EXPECT_EQ(receiver.counters().rx_bypass, 8u);
+  EXPECT_EQ(receiver.counters().rx_normal, 4u);
+  EXPECT_EQ(receiver.normal_rx_backlog(), 0u);
+  EXPECT_TRUE(bypass_.b2a().empty());
+}
+
+/// Setup ordering: frames a sender sent through the switch before it
+/// attached TX are still in flight (the switch has not forwarded them)
+/// when it starts transmitting on the ring. The ring frames stay staged
+/// — invisible to the receiver — until the switch reports it is done
+/// with the older ones, so the receiver takes them in send order. A
+/// detach arriving meanwhile is acknowledged only once the staged frames
+/// are out and the receiver has started on the ring.
+TEST_F(GuestPmdTest, BypassFramesWaitForOlderSwitchedFrames) {
+  GuestPmd sender = make_peer_pmd();
+  GuestPmd receiver = make_pmd();
+  const std::string region = make_bypass(kPeer, kPort);
+  ASSERT_TRUE(shm_.plug(region, kPeerVm).is_ok());
+  ASSERT_EQ(ctrl_roundtrip(receiver, attach_rx_msg(region)).ok, 1);
+
+  std::vector<mbuf::Mbuf*> sent;
+  for (int i = 0; i < 9; ++i) sent.push_back(&frames_[i]);
+  // Three frames through the switch, not yet forwarded; then the attach.
+  ASSERT_EQ(sender.tx_burst(std::span(sent.data(), 3), meter_), 3u);
+  ASSERT_EQ(peer_ctrl(sender, peer_attach_tx_msg(region)), 1);
+  ASSERT_EQ(sender.tx_burst(std::span(sent.data() + 3, 3), meter_), 3u);
+  EXPECT_EQ(sender.counters().tx_bypass, 3u);
+  EXPECT_TRUE(bypass_.b2a().empty());  // staged, not published
+
+  mbuf::Mbuf* rx[8];
+  EXPECT_EQ(receiver.rx_burst(rx, meter_), 0u);
+
+  // A detach now must wait: the ring's frames are not out yet.
+  ASSERT_TRUE(peer_ctrl_.cmd().enqueue(detach_tx_msg(region)));
+  (void)sender.process_control(meter_);
+  CtrlMsg ack;
+  EXPECT_FALSE(peer_ctrl_.ack().dequeue(ack));
+  EXPECT_TRUE(sender.bypass_tx_active());
+
+  // The switch forwards the older frames; the sender's next control
+  // poll publishes the staged ones — but still holds the detach, since
+  // the receiver has not started on the ring.
+  forward_peer_frames();
+  (void)sender.process_control(meter_);
+  EXPECT_EQ(bypass_.b2a().size(), 3u);
+  EXPECT_FALSE(peer_ctrl_.ack().dequeue(ack));
+
+  std::vector<mbuf::Mbuf*> received;
+  const std::uint16_t n = receiver.rx_burst(rx, meter_);
+  received.insert(received.end(), rx, rx + n);
+  EXPECT_EQ(n, 6u);
+
+  // The receiver started: the detach completes, and later frames go
+  // through the switch behind everything above.
+  (void)sender.process_control(meter_);
+  ASSERT_TRUE(peer_ctrl_.ack().dequeue(ack));
+  EXPECT_EQ(ack.ok, 1);
+  EXPECT_FALSE(sender.bypass_tx_active());
+  ASSERT_EQ(sender.tx_burst(std::span(sent.data() + 6, 3), meter_), 3u);
+  forward_peer_frames();
+  const std::uint16_t m = receiver.rx_burst(rx, meter_);
+  received.insert(received.end(), rx, rx + m);
+  EXPECT_EQ(received, sent);
 }
 
 }  // namespace
